@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,7 +38,8 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _run_experiment(subcommand, cfg, out_dir, outputs):
+def _run_experiment(cfg, out_dir, outputs):
+    subcommand = cfg.subcommand
     report = RUNNERS[subcommand](cfg)
     series_names = [n for n in report.columns if n != "t"]
     rows = zip(report.columns["t"], *(report.columns[n] for n in series_names))
@@ -94,15 +96,8 @@ def _run_trapezoid(cfg, out_dir, outputs):
                           cfg["trapezoid.which"])
     worst = max(abs(rep.residual_left), abs(rep.residual_right))
     ok = worst <= cfg["thresholds.trapezoid_residual"]
-    payload = {
-        "which": rep.which, "eta": rep.eta, "t1": rep.t1, "t2": rep.t2,
-        "lhs_left": rep.lhs_left, "lhs_right": rep.lhs_right,
-        "flux_integral": rep.flux_integral,
-        "residual_left": rep.residual_left, "residual_right": rep.residual_right,
-        "conservation_gap": rep.conservation_gap,
-        "threshold": cfg["thresholds.trapezoid_residual"],
-        "verdict": PASS if ok else FAIL,
-    }
+    payload = {**asdict(rep), "threshold": cfg["thresholds.trapezoid_residual"],
+               "verdict": PASS if ok else FAIL}
     outputs.append(write_json(out_dir / "trapezoid_report.json", payload))
     return payload["verdict"]
 
@@ -143,27 +138,27 @@ def _run_cp_table(cfg, out_dir, outputs):
     return PASS
 
 
+_HANDLERS = {
+    **dict.fromkeys(RUNNERS, _run_experiment),
+    "simulate": _run_simulate,
+    "flux-check": _run_flux_check,
+    "trapezoid": _run_trapezoid,
+    "selfsimilar": _run_selfsimilar,
+    "cp-table": _run_cp_table,
+}
+
+
 def dispatch(subcommand: str, cfg, out_dir, quiet: bool = False) -> int:
     """Run one subcommand, writing outputs plus the run manifest."""
+    handler = _HANDLERS.get(subcommand)
+    if handler is None:
+        raise ValidationError("subcommand", f"unknown subcommand {subcommand!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = new_manifest(subcommand, cfg.emit())
     manifest.started = _utcnow()
     outputs: list[Path] = []
-    if subcommand in RUNNERS:
-        verdict = _run_experiment(subcommand, cfg, out_dir, outputs)
-    elif subcommand == "simulate":
-        verdict = _run_simulate(cfg, out_dir, outputs)
-    elif subcommand == "flux-check":
-        verdict = _run_flux_check(cfg, out_dir, outputs)
-    elif subcommand == "trapezoid":
-        verdict = _run_trapezoid(cfg, out_dir, outputs)
-    elif subcommand == "selfsimilar":
-        verdict = _run_selfsimilar(cfg, out_dir, outputs)
-    elif subcommand == "cp-table":
-        verdict = _run_cp_table(cfg, out_dir, outputs)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError("subcommand", f"unknown subcommand {subcommand!r}")
+    verdict = handler(cfg, out_dir, outputs)
     manifest.finished = _utcnow()
     manifest.verdict = verdict
     for path in outputs:

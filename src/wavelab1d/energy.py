@@ -35,6 +35,17 @@ def trapezoid(y, dx: float) -> float:
     return float(dx * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
+def potential(u, nl: Nonlinearity):
+    """Potential density |u|^(p+1)/(p+1), unsigned (zeros if disabled).
+
+    The defocusing energy adds it and the focusing energy subtracts it;
+    every caller applies its own sign explicitly.
+    """
+    if nl.sign == "disabled":
+        return np.zeros_like(u, dtype=float)
+    return np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+
+
 @dataclass(frozen=True)
 class EnergyDensities:
     """Pointwise energy split of one time slice.
@@ -73,10 +84,7 @@ def compute_densities(state: FieldState, grid: GridSpec, nl: Nonlinearity) -> En
     ux, ut = sample_derivatives(state, grid)
     diff = ux - ut
     summ = ux + ut
-    if nl.sign == "disabled":
-        pot = np.zeros_like(ux)
-    else:
-        pot = np.abs(state.u) ** (nl.p + 1.0) / (2.0 * (nl.p + 1.0))
+    pot = potential(state.u, nl) / 2.0
     e_plus = 0.25 * diff * diff + pot
     e_minus = 0.25 * summ * summ + pot
     e_full = e_plus + e_minus

@@ -22,11 +22,11 @@ import numpy as np
 from ._version import __version__
 from .config import Config
 from .energy import (compute_densities, cone_energy, conserved_pair,
-                     interval_energy, norms, trapezoid)
+                     interval_energy, norms, potential, trapezoid)
 from .errors import BlowUpDetected, EvennessViolated, ValidationError
 from .grid import FieldState, GridSpec, InitialData, Nonlinearity, sample_derivatives
 from .interaction import interaction_q
-from .solver import Observer, evolve
+from .solver import Observer, evolve, steps_for
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
 
@@ -74,21 +74,6 @@ def _new_report(cfg: Config) -> ExperimentReport:
                                       "config": cfg.emit()})
 
 
-def total_energy_momentum(state: FieldState, grid: GridSpec, nl: Nonlinearity):
-    """Conserved (E, M) with the sign-correct potential term.
-
-    The defocusing equation conserves the +|u|^(p+1)/(p+1) energy, the
-    focusing one the -|u|^(p+1)/(p+1) energy; the linear mode has none.
-    """
-    ux, ut = sample_derivatives(state, grid)
-    dens = 0.5 * ux * ux + 0.5 * ut * ut
-    if nl.sign != "disabled":
-        dens = dens - nl.source_sign * np.abs(state.u) ** (nl.p + 1.0) / (nl.p + 1.0)
-    E = trapezoid(dens, grid.dx)
-    M = trapezoid(ux * ut, grid.dx)
-    return E, M
-
-
 def _conservation_gate(report: ExperimentReport, tol: float):
     E = report.columns.get("E", [])
     M = report.columns.get("M", [])
@@ -115,6 +100,41 @@ def _settle(report: ExperimentReport, gate_values: dict[str, bool]):
     report.verdict = PASS if all(gate_values.values()) else FAIL
 
 
+def _run_scenario(cfg: Config, nl: Nonlinearity, grid: GridSpec, init: InitialData,
+                  names, sample, settle, zero_note=None) -> ExperimentReport:
+    """Shared body of the defocusing scenarios.
+
+    Evolves ``init`` and records t, E and M plus the scenario's columns
+    ``names`` at every sample time; ``sample(state, d, E_plus, E_minus)``
+    returns the values of ``names`` in order, where ``d`` holds the state's
+    energy densities and ``E_plus``/``E_minus`` its directional energy
+    totals.  Then ``settle(report)`` sets the gates and the verdict,
+    and the conservation gate runs.  When ``zero_note`` is given and E
+    vanishes at the first sample, the run is inconclusive with that note
+    and neither gate runs.
+    """
+    report = _new_report(cfg)
+    cols = {name: [] for name in ("t", "E", "M", *names)}
+
+    def collect(state: FieldState):
+        d = compute_densities(state, grid, nl)
+        E, M, Ep, Em = conserved_pair(d, grid)
+        row = (state.t, E, M, *sample(state, d, Ep, Em))
+        for column, value in zip(cols.values(), row, strict=True):
+            column.append(value)
+
+    evolve(init, grid, nl, cfg["run.t_end"],
+           observers=[Observer(list(cfg.t_samples()), collect)], guard=cfg["run.guard"])
+    report.columns = cols
+    if zero_note is not None and cols["E"][0] == 0.0:
+        report.verdict = INCONCLUSIVE
+        report.notes.append(zero_note)
+        return report
+    settle(report)
+    _conservation_gate(report, cfg["thresholds.conservation_tol"])
+    return report
+
+
 def run_decay(cfg: Config) -> ExperimentReport:
     """Directional energy left behind by the light cone, plus norm decay.
 
@@ -125,43 +145,31 @@ def run_decay(cfg: Config) -> ExperimentReport:
     """
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     c = cfg["run.c"]
-    times = list(cfg.t_samples())
-    report = _new_report(cfg)
-    cols = {name: [] for name in
-            ("t", "E", "M", "E_plus_total", "E_minus_total", "E_plus_left",
-             "E_minus_right", "central", "lp_norm", "sup_norm")}
 
-    def collect(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        E, M, Ep, Em = conserved_pair(d, grid)
+    def sample(state: FieldState, d, Ep, Em):
         ct = c * state.t
         lp, sup, _ = norms(state, grid, nl)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["E_plus_total"].append(Ep)
-        cols["E_minus_total"].append(Em)
-        cols["E_plus_left"].append(interval_energy(d, grid, grid.x_min, ct, "plus"))
-        cols["E_minus_right"].append(interval_energy(d, grid, -ct, grid.x_max, "minus"))
-        cols["central"].append(interval_energy(d, grid, -ct, ct, "full"))
-        cols["lp_norm"].append(lp)
-        cols["sup_norm"].append(sup)
+        return (Ep, Em,
+                interval_energy(d, grid, grid.x_min, ct, "plus"),
+                interval_energy(d, grid, -ct, grid.x_max, "minus"),
+                interval_energy(d, grid, -ct, ct, "full"), lp, sup)
 
-    evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-           guard=cfg["run.guard"])
-    report.columns = cols
+    def settle(report: ExperimentReport):
+        cols = report.columns
+        thr_e = cfg["thresholds.energy_ratio"]
+        thr_n = cfg["thresholds.norm_ratio"]
+        _settle(report, {
+            "eplus_left": cols["E_plus_left"][-1] <= thr_e * cols["E_plus_total"][0],
+            "eminus_right": cols["E_minus_right"][-1] <= thr_e * cols["E_minus_total"][0],
+            "central": cols["central"][-1] <= thr_e * cols["E"][0],
+            "lp_norm": cols["lp_norm"][-1] <= thr_n * cols["lp_norm"][0],
+            "sup_norm": cols["sup_norm"][-1] <= thr_n * cols["sup_norm"][0],
+        })
 
-    thr_e = cfg["thresholds.energy_ratio"]
-    thr_n = cfg["thresholds.norm_ratio"]
-    _settle(report, {
-        "eplus_left": cols["E_plus_left"][-1] <= thr_e * cols["E_plus_total"][0],
-        "eminus_right": cols["E_minus_right"][-1] <= thr_e * cols["E_minus_total"][0],
-        "central": cols["central"][-1] <= thr_e * cols["E"][0],
-        "lp_norm": cols["lp_norm"][-1] <= thr_n * cols["lp_norm"][0],
-        "sup_norm": cols["sup_norm"][-1] <= thr_n * cols["sup_norm"][0],
-    })
-    _conservation_gate(report, cfg["thresholds.conservation_tol"])
-    return report
+    return _run_scenario(cfg, nl, grid, init,
+                         ("E_plus_total", "E_minus_total", "E_plus_left",
+                          "E_minus_right", "central", "lp_norm", "sup_norm"),
+                         sample, settle)
 
 
 def run_tail(cfg: Config) -> ExperimentReport:
@@ -173,76 +181,51 @@ def run_tail(cfg: Config) -> ExperimentReport:
     series (no halo) is recorded for the truncation-floor diagnostic.
     """
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
-    times = list(cfg.t_samples())
-    report = _new_report(cfg)
     support = init.support_interval(grid)
     r0 = max(abs(support[0]), abs(support[1])) if support else 0.0
     radii = (r0 + cfg["run.R"], r0 + cfg["run.R"] + 1.0)
     margin = cfg["run.margin_cells"] * grid.dx
-    cols = {name: [] for name in ("t", "E", "M", "tail_R0", "tail_R0_plus_1",
-                                  "tail_R0_raw")}
 
     def tail_energy(d, radius):
         left = interval_energy(d, grid, grid.x_min, -radius, "full")
         right = interval_energy(d, grid, radius, grid.x_max, "full")
         return left + right
 
-    def collect(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        E, M, _, _ = conserved_pair(d, grid)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["tail_R0"].append(tail_energy(d, state.t + radii[0] + margin))
-        cols["tail_R0_plus_1"].append(tail_energy(d, state.t + radii[1] + margin))
-        cols["tail_R0_raw"].append(tail_energy(d, state.t + radii[0]))
+    def sample(state: FieldState, d, Ep, Em):
+        return (tail_energy(d, state.t + radii[0] + margin),
+                tail_energy(d, state.t + radii[1] + margin),
+                tail_energy(d, state.t + radii[0]))
 
-    evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-           guard=cfg["run.guard"])
-    report.columns = cols
-    _settle(report, {
-        "tail_R0_zero": max(cols["tail_R0"]) == 0.0,
-        "tail_R0_plus_1_zero": max(cols["tail_R0_plus_1"]) == 0.0,
-    })
-    _conservation_gate(report, cfg["thresholds.conservation_tol"])
-    return report
+    def settle(report: ExperimentReport):
+        _settle(report, {
+            "tail_R0_zero": max(report.columns["tail_R0"]) == 0.0,
+            "tail_R0_plus_1_zero": max(report.columns["tail_R0_plus_1"]) == 0.0,
+        })
+
+    return _run_scenario(cfg, nl, grid, init,
+                         ("tail_R0", "tail_R0_plus_1", "tail_R0_raw"), sample, settle)
 
 
 def run_retraction(cfg: Config) -> ExperimentReport:
     """Cone energy E_eta(t): nondecreasing, eventually strictly positive."""
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     eta = cfg["run.eta"]
-    times = list(cfg.t_samples())
-    report = _new_report(cfg)
-    cols = {name: [] for name in ("t", "E", "M", "E_cone")}
 
-    def collect(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        E, M, _, _ = conserved_pair(d, grid)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["E_cone"].append(cone_energy(state, grid, nl, eta))
+    def sample(state: FieldState, d, Ep, Em):
+        return (cone_energy(state, grid, nl, eta),)
 
-    evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-           guard=cfg["run.guard"])
-    report.columns = cols
+    def settle(report: ExperimentReport):
+        E0 = report.columns["E"][0]
+        series = report.columns["E_cone"]
+        tol = cfg["thresholds.monotonicity_tol"] * E0
+        _settle(report, {
+            "cone_monotone": all(b >= a - tol for a, b in zip(series, series[1:])),
+            "cone_floor": series[-1] > cfg["thresholds.retraction_floor"] * E0,
+        })
 
-    E0 = cols["E"][0]
-    if E0 == 0.0:
-        report.verdict = INCONCLUSIVE
-        report.notes.append("zero solution: the retraction statement assumes "
-                            "nonzero data, nothing to verify")
-        return report
-    series = cols["E_cone"]
-    tol = cfg["thresholds.monotonicity_tol"] * E0
-    monotone = all(b >= a - tol for a, b in zip(series, series[1:]))
-    _settle(report, {
-        "cone_monotone": monotone,
-        "cone_floor": series[-1] > cfg["thresholds.retraction_floor"] * E0,
-    })
-    _conservation_gate(report, cfg["thresholds.conservation_tol"])
-    return report
+    return _run_scenario(cfg, nl, grid, init, ("E_cone",), sample, settle,
+                         zero_note="zero solution: the retraction statement assumes "
+                                   "nonzero data, nothing to verify")
 
 
 def _probe_bump(eta: float, offset: float, length: float):
@@ -286,59 +269,49 @@ def run_conjecture_probe(cfg: Config) -> ExperimentReport:
     """
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     eta = cfg["run.eta"]
-    times = list(cfg.t_samples())
     g, gprime = _probe_bump(eta, cfg["probe.offset"], cfg["probe.length"])
-    report = _new_report(cfg)
-    cols = {name: [] for name in
-            ("t", "E", "M", "E_plus_beyond_ray", "weak_probe", "strong_probe")}
     x = grid.nodes
 
-    def collect(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        E, M, _, _ = conserved_pair(d, grid)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["E_plus_beyond_ray"].append(
-            interval_energy(d, grid, state.t - eta, grid.x_max, "plus"))
+    def sample(state: FieldState, d, Ep, Em):
         gp = gprime(x - state.t)
-        cols["weak_probe"].append(-trapezoid(state.u * gp, grid.dx))
         ux, ut = sample_derivatives(state, grid)
         s_sum = ux + ut
         mask = x >= state.t - eta
-        cols["strong_probe"].append(trapezoid((s_sum * s_sum)[mask], grid.dx))
+        return (interval_energy(d, grid, state.t - eta, grid.x_max, "plus"),
+                -trapezoid(state.u * gp, grid.dx),
+                trapezoid((s_sum * s_sum)[mask], grid.dx))
 
-    evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-           guard=cfg["run.guard"])
-    report.columns = cols
+    def settle(report: ExperimentReport):
+        cols = report.columns
+        series = cols["E_plus_beyond_ray"]
+        E0 = cols["E"][0]
+        tol = cfg["thresholds.monotonicity_tol"] * (E0 if E0 > 0.0 else 1.0)
+        monotone = all(b <= a + tol for a, b in zip(series, series[1:]))
+        base = 1 if len(cfg.t_samples()) > 2 else 0
+        weak = [abs(v) for v in cols["weak_probe"]]
+        strong = cols["strong_probe"]
+        weak_ok = weak[-1] <= cfg["thresholds.weak_probe_ratio"] * weak[base]
+        strong_ok = strong[-1] <= cfg["thresholds.strong_probe_ratio"] * strong[base]
+        retracted = series[-1] <= cfg["thresholds.retraction_ratio"] * E0
 
-    series = cols["E_plus_beyond_ray"]
-    E0 = cols["E"][0]
-    tol = cfg["thresholds.monotonicity_tol"] * (E0 if E0 > 0.0 else 1.0)
-    monotone = all(b <= a + tol for a, b in zip(series, series[1:]))
-    base = 1 if len(times) > 2 else 0
-    weak = [abs(v) for v in cols["weak_probe"]]
-    strong = cols["strong_probe"]
-    weak_ok = weak[-1] <= cfg["thresholds.weak_probe_ratio"] * weak[base]
-    strong_ok = strong[-1] <= cfg["thresholds.strong_probe_ratio"] * strong[base]
-    retracted = series[-1] <= cfg["thresholds.retraction_ratio"] * E0
+        report.gates["ray_series_monotone"] = PASS if monotone else FAIL
+        report.gates["weak_probe"] = PASS if weak_ok else FAIL
+        report.gates["strong_probe"] = PASS if strong_ok else FAIL
+        report.gates["ray_series_retracted"] = PASS if retracted else INCONCLUSIVE
+        if not (monotone and weak_ok and strong_ok):
+            report.verdict = FAIL
+        elif retracted:
+            report.verdict = PASS
+            report.notes.append("ray series fell below its threshold at desk scale; "
+                                "the t -> infinity statement remains open")
+        else:
+            report.verdict = INCONCLUSIVE
+            report.notes.append("known-true probes hold; the retraction limit "
+                                "itself remains an open question")
 
-    report.gates["ray_series_monotone"] = PASS if monotone else FAIL
-    report.gates["weak_probe"] = PASS if weak_ok else FAIL
-    report.gates["strong_probe"] = PASS if strong_ok else FAIL
-    report.gates["ray_series_retracted"] = PASS if retracted else INCONCLUSIVE
-    if not (monotone and weak_ok and strong_ok):
-        report.verdict = FAIL
-    elif retracted:
-        report.verdict = PASS
-        report.notes.append("ray series fell below its threshold at desk scale; "
-                            "the t -> infinity statement remains open")
-    else:
-        report.verdict = INCONCLUSIVE
-        report.notes.append("known-true probes hold; the retraction limit "
-                            "itself remains an open question")
-    _conservation_gate(report, cfg["thresholds.conservation_tol"])
-    return report
+    return _run_scenario(cfg, nl, grid, init,
+                         ("E_plus_beyond_ray", "weak_probe", "strong_probe"),
+                         sample, settle)
 
 
 def levine_threshold(init: InitialData, grid: GridSpec, p: float) -> float:
@@ -388,7 +361,11 @@ def run_focusing(cfg: Config) -> ExperimentReport:
     cols = {name: [] for name in ("t", "E", "M", "h1l2_norm", "sup_norm")}
 
     def collect(state: FieldState):
-        E, M = total_energy_momentum(state, grid, nl)
+        # the focusing equation conserves the energy with -|u|^(p+1)/(p+1)
+        ux, ut = sample_derivatives(state, grid)
+        dens = 0.5 * ux * ux + 0.5 * ut * ut - nl.source_sign * potential(state.u, nl)
+        E = trapezoid(dens, grid.dx)
+        M = trapezoid(ux * ut, grid.dx)
         _, sup, h1l2 = norms(state, grid, nl)
         cols["t"].append(state.t)
         cols["E"].append(E)
@@ -424,8 +401,6 @@ def run_concentration(cfg: Config) -> ExperimentReport:
     Q value against the brute-force double sum at the baseline time.
     """
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
-    times = list(cfg.t_samples())
-    report = _new_report(cfg)
     ev_tol = cfg["thresholds.evenness_tol"]
 
     if abs(grid.x_min + grid.x_max) > 1e-9 * max(1.0, abs(grid.x_max)):
@@ -436,52 +411,34 @@ def run_concentration(cfg: Config) -> ExperimentReport:
         if float(np.max(np.abs(arr - arr[::-1]))) > ev_tol * scale:
             raise EvennessViolated(f"{name} is not even to within {ev_tol:.1e}")
 
-    cols = {name: [] for name in ("t", "E", "M", "Q", "evenness_error")}
-
-    def collect(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        E, M, _, _ = conserved_pair(d, grid)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["Q"].append(interaction_q(d, grid, "prefix_sum").q_value)
-        scale = float(np.max(np.abs(state.u))) or 1.0
-        cols["evenness_error"].append(
-            float(np.max(np.abs(state.u - state.u[::-1]))) / scale)
-
-    evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-           guard=cfg["run.guard"])
-    report.columns = cols
-
-    if cols["E"][0] == 0.0:
-        report.verdict = INCONCLUSIVE
-        report.notes.append("zero solution: the concentration statement assumes "
-                            "nonzero data")
-        return report
-
+    # the baseline is the sampled grid time nearest run.q_baseline_time,
+    # the earliest one on a tie
     t0 = cfg["run.q_baseline_time"]
-    idx0 = min(range(len(cols["t"])), key=lambda i: abs(cols["t"][i] - t0))
-    q_base = cols["Q"][idx0]
-    q_tail_min = min(cols["Q"][idx0:])
+    sampled = sorted(steps_for(t, grid.dt) * grid.dt for t in cfg.t_samples())
+    t_base = min(sampled, key=lambda t: abs(t - t0))
+    spot = {}
 
-    # brute-force spot check at the baseline time
-    def spot(state: FieldState):
-        d = compute_densities(state, grid, nl)
-        brute = interaction_q(d, grid, "brute_force").q_value
-        fast = interaction_q(d, grid, "prefix_sum").q_value
-        gap = abs(brute - fast) / (abs(brute) or 1.0)
-        report.scalars["q_method_gap"] = gap
+    def sample(state: FieldState, d, Ep, Em):
+        q = interaction_q(d, grid, "prefix_sum").q_value
+        if state.t == t_base and not spot:
+            brute = interaction_q(d, grid, "brute_force").q_value
+            spot["q_method_gap"] = abs(brute - q) / (abs(brute) or 1.0)
+        scale = float(np.max(np.abs(state.u))) or 1.0
+        return q, float(np.max(np.abs(state.u - state.u[::-1]))) / scale
 
-    evolve(init, grid, nl, cols["t"][idx0], observers=[Observer([cols["t"][idx0]], spot)],
-           guard=cfg["run.guard"])
+    def settle(report: ExperimentReport):
+        q = report.columns["Q"]
+        idx0 = report.columns["t"].index(t_base)
+        report.scalars.update(spot)
+        _settle(report, {
+            "q_floor": min(q[idx0:]) >= cfg["thresholds.q_floor_ratio"] * q[idx0],
+            "evenness": max(report.columns["evenness_error"]) <= ev_tol,
+            "q_methods_agree": spot["q_method_gap"] <= 1e-10,
+        })
 
-    _settle(report, {
-        "q_floor": q_tail_min >= cfg["thresholds.q_floor_ratio"] * q_base,
-        "evenness": max(cols["evenness_error"]) <= ev_tol,
-        "q_methods_agree": report.scalars.get("q_method_gap", 0.0) <= 1e-10,
-    })
-    _conservation_gate(report, cfg["thresholds.conservation_tol"])
-    return report
+    return _run_scenario(cfg, nl, grid, init, ("Q", "evenness_error"), sample, settle,
+                         zero_note="zero solution: the concentration statement "
+                                   "assumes nonzero data")
 
 
 RUNNERS = {

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import compute_densities, interval_energy, trapezoid
+from .energy import compute_densities, interval_energy, potential, trapezoid
 from .errors import PathOutsideDomain, RayOutsideDomain, ValidationError
 from .grid import GridSpec
 from .solver import Trajectory
@@ -221,26 +221,20 @@ def _gather(traj: Trajectory, levels, xs):
             ut_a * (1 - th) + ut_b * th)
 
 
-def _pot_factor(nl) -> float:
-    """Coefficient of |u|^(p+1) in the characteristic flux (0 if disabled)."""
-    return 0.0 if nl.sign == "disabled" else 1.0 / (nl.p + 1.0)
-
-
 def _characteristic_integrand(u, ux, ut, nl, tag, which):
-    pot = _pot_factor(nl) * np.abs(u) ** (nl.p + 1.0)
     if which == "plus":
         if tag == RIGHT_CHAR:
-            return pot
+            return potential(u, nl)
         d = ux - ut
         return -0.5 * d * d
     if tag == RIGHT_CHAR:
         s = ux + ut
         return 0.5 * s * s
-    return -pot
+    return -potential(u, nl)
 
 
 def _dual_integrand(u, ux, ut, nl, which):
-    pot = 0.5 * _pot_factor(nl) * np.abs(u) ** (nl.p + 1.0)
+    pot = potential(u, nl) / 2.0
     if which == "plus":
         d = ux - ut
         return -0.25 * d * d + pot
@@ -350,7 +344,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
 
     u, ux, ut = _gather(trajectory, levels, xs)
     if which == "plus":
-        integrand = _pot_factor(nl) * np.abs(u) ** (nl.p + 1.0)
+        integrand = potential(u, nl)
     else:
         s = ux + ut
         integrand = 0.5 * s * s

@@ -46,17 +46,29 @@ class Nonlinearity:
         """Sign multiplying |u|^(p-1)u on the right-hand side (0 if disabled)."""
         return {"defocusing": -1.0, "focusing": 1.0, "disabled": 0.0}[self.sign]
 
-    def power_term(self, u):
-        """|u|^(p-1) u, elementwise.  Fast paths for small integer exponents."""
-        u = np.asarray(u)
+    def power_term(self, u, out=None):
+        """|u|^(p-1) u, elementwise, written into ``out`` when given.
+
+        ``out`` must not alias ``u``.  Fast paths for p in {2, 3, 5}.
+        """
+        u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
         if self.p == 3.0:
-            return u * u * u
-        if self.p == 2.0:
-            return np.abs(u) * u
-        if self.p == 5.0:
-            u2 = u * u
-            return u2 * u2 * u
-        return np.abs(u) ** (self.p - 1.0) * u
+            np.multiply(u, u, out=out)
+            out *= u
+        elif self.p == 2.0:
+            np.abs(u, out=out)
+            out *= u
+        elif self.p == 5.0:
+            np.multiply(u, u, out=out)
+            np.multiply(out, out, out=out)
+            out *= u
+        else:
+            np.abs(u, out=out)
+            np.power(out, self.p - 1.0, out=out)
+            out *= u
+        return out
 
     def forcing(self, u):
         """Right-hand side sign * |u|^(p-1) u (zero array if disabled)."""
@@ -371,17 +383,34 @@ class InitialData:
         return lo, hi
 
 
+def stencil_ux(u, js, dx: float, lead=()):
+    """u_x at node indices ``js`` of the rows ``u[lead]`` (the last axis is x).
+
+    ``lead`` holds index arrays for the leading axes, one value per entry of
+    ``js``; it is empty for a single time slice.  Central differences at
+    interior nodes and one-sided second-order stencils at the endpoints, so
+    linear ramps differentiate exactly everywhere.
+    """
+    n = u.shape[-1] - 1
+    jm = np.clip(js - 1, 0, n)
+    jp = np.clip(js + 1, 0, n)
+    ux = (u[lead + (jp,)] - u[lead + (jm,)]) / (2.0 * dx)
+    left = js == 0
+    if left.any():
+        at = tuple(a[left] for a in lead)
+        ux[left] = (-3.0 * u[at + (0,)] + 4.0 * u[at + (1,)]
+                    - u[at + (2,)]) / (2.0 * dx)
+    right = js == n
+    if right.any():
+        at = tuple(a[right] for a in lead)
+        ux[right] = (3.0 * u[at + (n,)] - 4.0 * u[at + (n - 1,)]
+                     + u[at + (n - 2,)]) / (2.0 * dx)
+    return ux
+
+
 def sample_derivatives(state: FieldState, grid: GridSpec):
     """(u_x, u_t) on the grid nodes.
 
-    u_t is the stored velocity verbatim; u_x uses central differences at
-    interior nodes and one-sided second-order stencils at the endpoints,
-    so linear ramps differentiate exactly everywhere.
+    u_t is the stored velocity verbatim; u_x is ``stencil_ux`` at every node.
     """
-    u = state.u
-    dx = grid.dx
-    ux = np.empty_like(u)
-    ux[1:-1] = (u[2:] - u[:-2]) / (2.0 * dx)
-    ux[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * dx)
-    ux[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * dx)
-    return ux, state.v.copy()
+    return stencil_ux(state.u, np.arange(state.u.size), grid.dx), state.v.copy()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import EnergyDensities, trapezoid
+from .energy import EnergyDensities, potential, trapezoid
 from .errors import ValidationError
 from .grid import GridSpec, sample_derivatives
 from .solver import Trajectory
@@ -119,9 +119,7 @@ def virial_check(trajectory: Trajectory, R: float, s_values=None) -> VirialRepor
     def rhs_at(level):
         state = trajectory.state(level)
         ux, ut = sample_derivatives(state, grid)
-        dens = 0.5 * ut * ut + 0.5 * ux * ux
-        if nl.sign != "disabled":
-            dens = dens + nl.source_sign * np.abs(state.u) ** (nl.p + 1.0) / (nl.p + 1.0)
+        dens = 0.5 * ut * ut + 0.5 * ux * ux + nl.source_sign * potential(state.u, nl)
         return -trapezoid(dens[inside], dx)
 
     if s_values is None:

@@ -10,6 +10,23 @@ u[n+1]_j = u[n]_{j+1} + u[n]_{j-1} - u[n-1]_j for the linear part, so flux
 diagnostics along characteristics line up with the lattice diagonals.
 Velocities are reconstructed as v[n] = (u[n+1] - u[n-1]) / (2 dt).
 
+At cfl = 1 the defocusing scheme is unstable at the Nyquist mode.  Freeze
+the coefficient V = p|u|^(p-1) > 0 of the linearised power term; the mode
+(-1)^j lambda^n then satisfies lambda + 1/lambda = -(2 + dt^2 V), so one
+root has |lambda| > 1 (about 1 + dt sqrt(V), a growth rate per unit time
+that does not shrink with dt).  For cfl < 1 the right-hand side is
+2 - 4 cfl^2 - dt^2 V, inside [-2, 2] on resolved grids, and the mode is
+neutral.  The defocusing solution itself is bounded by its energy, so this
+growth is numerical; it is seeded by rounding and usually stays far below
+the blow-up guard, but not always:
+
+    wavelab1d decay --override grid.dx=0.00125 --override grid.cfl=1.0 \
+        --override init.amplitude=6.0 --override init.width=0.25
+
+stops with BlowUpDetected at t = 29.155 (sup 2.7e8), while the same run at
+grid.cfl = 0.9 stays bounded.  A run at the default cfl is trustworthy only
+while this growth stays below the guard.
+
 Evolutions are strictly sequential in time; emitted FieldState snapshots are
 immutable and safe to share across threads.  Independent evolutions share no
 mutable state.
@@ -23,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpDetected, DomainTooSmall, ValidationError
-from .grid import FieldState, GridSpec, InitialData, Nonlinearity
+from .grid import FieldState, GridSpec, InitialData, Nonlinearity, stencil_ux
 
 DEFAULT_BLOWUP_GUARD = 1e8
 
@@ -42,40 +59,6 @@ class Observer:
 def steps_for(t_end: float, dt: float) -> int:
     """Number of steps to the first grid time >= t_end."""
     return max(0, int(math.ceil(t_end / dt - 1e-9)))
-
-
-def _power_term(u, p, out=None):
-    """|u|^(p-1) u with fast paths for p in {2, 3, 5}."""
-    if out is None:
-        out = np.empty_like(u)
-    if p == 3.0:
-        np.multiply(u, u, out=out)
-        out *= u
-    elif p == 2.0:
-        np.abs(u, out=out)
-        out *= u
-    elif p == 5.0:
-        np.multiply(u, u, out=out)
-        np.multiply(out, out, out=out)
-        out *= u
-    else:
-        np.abs(u, out=out)
-        np.power(out, p - 1.0, out=out)
-        out *= u
-    return out
-
-
-def leapfrog_step(u_cur, u_prev, grid: GridSpec, nl: Nonlinearity):
-    """One leapfrog update; returns the next level as a fresh array."""
-    c2 = grid.cfl * grid.cfl
-    dt2 = grid.dt * grid.dt
-    u_next = np.zeros_like(u_cur)
-    # neighbours are summed first so mirror-symmetric data stay bit-even
-    u_next[1:-1] = (c2 * (u_cur[2:] + u_cur[:-2])
-                    + (2.0 - 2.0 * c2) * u_cur[1:-1] - u_prev[1:-1])
-    if nl.source_sign != 0.0:
-        u_next[1:-1] += (dt2 * nl.source_sign) * _power_term(u_cur[1:-1], nl.p)
-    return u_next
 
 
 def _start_level(u0, u1, init: InitialData, grid: GridSpec, nl: Nonlinearity):
@@ -99,15 +82,6 @@ def _start_level(u0, u1, init: InitialData, grid: GridSpec, nl: Nonlinearity):
     u_next[0] = 0.0
     u_next[-1] = 0.0
     return u_next
-
-
-def first_step(init: InitialData, grid: GridSpec, nl: Nonlinearity) -> FieldState:
-    """State after one time step (the leapfrog starting level)."""
-    u0, u1 = init.sample(grid)
-    u_a = _start_level(u0, u1, init, grid, nl)
-    u_b = leapfrog_step(u_a, u0, grid, nl)
-    v = (u_b - u0) / (2.0 * grid.dt)
-    return FieldState(t=grid.dt, u=u_a, v=v)
 
 
 def _check_domain(init: InitialData, grid: GridSpec, n_steps: int):
@@ -140,8 +114,6 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
     n_steps = steps_for(t_end, dt)
     _check_domain(init, grid, n_steps)
 
-    u0, u1 = init.sample(grid)
-
     # schedule[step] -> observer callbacks due at that step
     schedule: dict[int, list] = {}
     for obs in observers:
@@ -150,20 +122,36 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
             if step > n_steps:
                 raise ValidationError("observer", f"sample time {t_req!r} beyond t_end")
             schedule.setdefault(step, []).append(obs.fn)
+    return _march(init, grid, nl, n_steps, schedule, guard, _level_sink)
+
+
+def first_step(init: InitialData, grid: GridSpec, nl: Nonlinearity) -> FieldState:
+    """State after one time step: the single step of ``evolve``.
+
+    Unlike ``evolve`` it skips the domain check, so the data may fill the
+    whole grid.
+    """
+    return _march(init, grid, nl, 1, {}, DEFAULT_BLOWUP_GUARD, None)
+
+
+def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
+    """The leapfrog loop shared by ``evolve`` and ``first_step``."""
+    dt = grid.dt
+    u0, u1 = init.sample(grid)
 
     def emit(step, u_arr, v_arr):
         state = FieldState(t=step * dt, u=u_arr.copy(), v=v_arr.copy())
         for fn in schedule.get(step, ()):
             fn(state)
-        if _level_sink is not None:
-            _level_sink(step, state)
+        if level_sink is not None:
+            level_sink(step, state)
         return state
 
     sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))) if u0.size else 0.0
     if not (sup0 < guard):
         raise BlowUpDetected(0.0, sup0)
 
-    wants0 = 0 in schedule or _level_sink is not None or n_steps == 0
+    wants0 = 0 in schedule or level_sink is not None or n_steps == 0
     state0 = emit(0, u0, u1) if wants0 else None
     if n_steps == 0:
         return state0
@@ -173,7 +161,6 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
 
     c2 = grid.cfl * grid.cfl
     dt2s = grid.dt * grid.dt * nl.source_sign
-    p = nl.p
     n_nodes = grid.n_nodes
     u_next = np.zeros(n_nodes)
     work = np.zeros(n_nodes)
@@ -184,15 +171,14 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
     _guard_check(u_cur, dt, guard, work)
 
     for m in range(1, n_steps + 1):
-        # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1)
-        if c2 == 1.0:
-            np.add(u_cur[2:], u_cur[:-2], out=work[1:-1])
-        else:
-            np.add(u_cur[2:], u_cur[:-2], out=work[1:-1])
+        # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1);
+        # neighbours are summed first so mirror-symmetric data stay bit-even
+        np.add(u_cur[2:], u_cur[:-2], out=work[1:-1])
+        if c2 != 1.0:
             work[1:-1] *= c2
             work[1:-1] += (2.0 - 2.0 * c2) * u_cur[1:-1]
         if dt2s != 0.0:
-            _power_term(u_cur[1:-1], p, out=pw)
+            nl.power_term(u_cur[1:-1], out=pw)
             pw *= dt2s
             work[1:-1] += pw
         np.subtract(work[1:-1], u_prev[1:-1], out=u_next[1:-1])
@@ -200,7 +186,7 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
         u_next[-1] = 0.0
         _guard_check(u_next, (m + 1) * dt, guard, work)
 
-        if m in schedule or m == n_steps or _level_sink is not None:
+        if m in schedule or m == n_steps or level_sink is not None:
             np.subtract(u_next, u_prev, out=v_buf)
             v_buf /= (2.0 * dt)
             state = emit(m, u_cur, v_buf)
@@ -212,12 +198,9 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
     return final_state
 
 
-def _guard_check(u, t, guard, scratch=None):
-    if scratch is not None and scratch.shape == u.shape:
-        np.abs(u, out=scratch)
-        sup = scratch.max()
-    else:
-        sup = np.max(np.abs(u))
+def _guard_check(u, t, guard, scratch):
+    np.abs(u, out=scratch)
+    sup = scratch.max()
     if not (sup < guard):
         raise BlowUpDetected(t, float(sup))
 
@@ -276,26 +259,9 @@ class Trajectory:
     def pointwise(self, levels, js):
         """(u, u_x, u_t) at lattice points (levels[i], js[i]), vectorized.
 
-        u_x uses the same central stencil as sample_derivatives (one-sided
-        at the domain endpoints).
+        u_x is ``stencil_ux``, the stencil of sample_derivatives.
         """
         levels = np.asarray(levels, dtype=int)
         js = np.asarray(js, dtype=int)
-        dx = self.grid.dx
-        n = self.grid.n_cells
-        u = self.u_levels[levels, js]
-        ut = self.v_levels[levels, js]
-        jm = np.clip(js - 1, 0, n)
-        jp = np.clip(js + 1, 0, n)
-        ux = (self.u_levels[levels, jp] - self.u_levels[levels, jm]) / (2.0 * dx)
-        left = js == 0
-        if left.any():
-            ux[left] = (-3.0 * self.u_levels[levels[left], 0]
-                        + 4.0 * self.u_levels[levels[left], 1]
-                        - self.u_levels[levels[left], 2]) / (2.0 * dx)
-        right = js == n
-        if right.any():
-            ux[right] = (3.0 * self.u_levels[levels[right], n]
-                         - 4.0 * self.u_levels[levels[right], n - 1]
-                         + self.u_levels[levels[right], n - 2]) / (2.0 * dx)
-        return u, ux, ut
+        ux = stencil_ux(self.u_levels, js, self.grid.dx, (levels,))
+        return self.u_levels[levels, js], ux, self.v_levels[levels, js]

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from wavelab1d.cli import main
+from wavelab1d import ValidationError
+from wavelab1d.cli import dispatch, main
+from wavelab1d.config import resolve
 from wavelab1d.csvio import read_csv
 from wavelab1d.manifest import load_manifest, rerun_from_manifest
 
@@ -62,6 +64,11 @@ def test_config_file_and_override_precedence(tmp_path):
     m = load_manifest(out / "manifest.json")
     assert "run.t_end = 6.0" in m.config_text
     assert "init.amplitude = 0.5" in m.config_text
+
+
+def test_dispatch_rejects_unknown_subcommand(tmp_path):
+    with pytest.raises(ValidationError):
+        dispatch("nope", resolve("cp-table"), tmp_path / "nope", quiet=True)
 
 
 def test_error_exit_and_error_json(tmp_path):

@@ -3,7 +3,7 @@ production resolutions."""
 import numpy as np
 import pytest
 
-from wavelab1d import EvennessViolated, GridSpec, InitialData
+from wavelab1d import EvennessViolated, GridSpec, InitialData, evolve
 from wavelab1d.config import resolve
 from wavelab1d.experiments import (levine_threshold, run_concentration,
                                    run_conjecture_probe, run_decay,
@@ -128,8 +128,17 @@ def test_focusing_zero_data_inconclusive():
     assert rep.verdict == "inconclusive"
 
 
-def test_concentration_two_bumps():
+def test_concentration_two_bumps(monkeypatch):
+    # the brute-force Q spot check rides on the one evolution
+    calls = []
+
+    def counting_evolve(*args, **kwargs):
+        calls.append(args)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr("wavelab1d.experiments.evolve", counting_evolve)
     rep = run_concentration(resolve("concentration", {}, {"grid.dx": "0.01"}))
+    assert len(calls) == 1
     assert rep.verdict == "pass"
     assert max(rep.columns["evenness_error"]) == 0.0
     assert rep.scalars["q_method_gap"] <= 1e-10
@@ -142,6 +151,7 @@ def test_concentration_two_bumps():
 def test_concentration_zero_data_inconclusive():
     rep = run_concentration(resolve("concentration", {}, _zero()))
     assert rep.verdict == "inconclusive"
+    assert "q_method_gap" not in rep.scalars
 
 
 def test_concentration_rejects_odd_data():

@@ -63,6 +63,28 @@ def test_first_step_trivial_cases():
     assert np.allclose(s.u[1:-1], c - 0.5 * g.dt ** 2 * c ** 3, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p", [3.0, 2.5])
+def test_first_step_is_one_step_of_evolve(cfl, p):
+    g = GridSpec(-4.0, 4.0, 400, cfl=cfl)
+    nl = Nonlinearity(p=p)
+    init = InitialData.gaussian(amplitude=1.0, width=0.5, velocity_fraction=0.3)
+    a = first_step(init, g, nl)
+    b = evolve(init, g, nl, g.dt)
+    assert a.t == b.t
+    assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 2.5, 3.0, 5.0])
+def test_power_term_out_matches_allocating_form(p):
+    nl = Nonlinearity(p=p)
+    u = np.random.default_rng(0).normal(scale=3.0, size=10_000)
+    out = np.empty_like(u)
+    assert nl.power_term(u, out=out) is out
+    assert np.array_equal(out, nl.power_term(u))
+    np.testing.assert_allclose(out, np.abs(u) ** (p - 1.0) * u, rtol=1e-15, atol=0.0)
+
+
 def test_finite_speed_of_propagation_exact_on_lattice():
     g = GridSpec(-10.0, 10.0, 1000)  # dx = 0.02, cfl = 1
     init = InitialData.polynomial_bump(amplitude=1.0, radius=1.0, power=2)
