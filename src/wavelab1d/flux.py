@@ -14,9 +14,12 @@ Along characteristic edges the combination simplifies: a right-going ray
 carries |u|^(p+1)/(p+1) for e+ (nonlinear gain) and (1/2)|u_x + u_t|^2 for
 e-, and mirrored for left-going rays.  Edge integrals use composite
 trapezoid quadrature on the lattice; at cfl = 1 characteristic edges sample
-the lattice diagonals exactly, at cfl < 1 they fall back to linear
-interpolation in x (documented first-order accuracy loss, so identity tests
-pin cfl = 1).
+the lattice diagonals exactly.  At cfl < 1 only x falls back to linear
+interpolation (documented first-order accuracy loss, so identity tests pin
+cfl = 1): vertex, edge and trapezoid window times must still be lattice
+times, multiples of dt, or a ValidationError names the time.  The default
+flux-check path (vertex time 0.5) and trapezoid window (t = 1) are not
+lattice times at cfl = 0.9, so those runs exit 1.
 """
 from __future__ import annotations
 

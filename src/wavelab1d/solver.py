@@ -27,6 +27,20 @@ stops with BlowUpDetected at t = 29.155 (sup 2.7e8), while the same run at
 grid.cfl = 0.9 stays bounded.  A run at the default cfl is trustworthy only
 while this growth stays below the guard.
 
+Only the data's lattice cone is stepped.  The loop keeps a node window
+[lo, hi) that holds every node whose bits may be nonzero at the current or
+the previous level, starting from the bitwise nonzero extent of levels 0
+and 1.  The three-point stencil reads only j +- 1, so the window widens by
+exactly one node on each side per step at every cfl <= 1 (the scheme's
+numerical domain of dependence, whatever the cfl), clamped to the interior.
+Outside the window the full-grid update would compute 0 + 0, +-0 * dt^2
+and 0 - 0, which is +0.0, and the rotated buffers already hold +0.0 there,
+so every emitted state is bit-identical to updating the whole grid.  The
+window tests bits, not values: a negative-amplitude bump samples to -0.0
+outside its support, and the full-grid update turns those nodes into +0.0,
+a difference CSV output shows.  NaN samples fall inside the window too, so
+the blow-up guard still sees them.
+
 Evolutions are strictly sequential in time; emitted FieldState snapshots are
 immutable and safe to share across threads.  Independent evolutions share no
 mutable state.
@@ -135,7 +149,10 @@ def first_step(init: InitialData, grid: GridSpec, nl: Nonlinearity) -> FieldStat
 
 
 def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
-    """The leapfrog loop shared by ``evolve`` and ``first_step``."""
+    """The leapfrog loop shared by ``evolve`` and ``first_step``.
+
+    Steps only the window [lo, hi) described in the module docstring.
+    """
     dt = grid.dt
     u0, u1 = init.sample(grid)
 
@@ -164,27 +181,33 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
     n_nodes = grid.n_nodes
     u_next = np.zeros(n_nodes)
     work = np.zeros(n_nodes)
-    pw = np.zeros(n_nodes - 2) if dt2s != 0.0 else None
+    pw = np.zeros(n_nodes) if dt2s != 0.0 else None
     v_buf = np.empty(n_nodes)
     final_state = None
 
-    _guard_check(u_cur, dt, guard, work)
+    # [lo, hi) holds every node whose bits may be nonzero at level m or m - 1
+    live = np.flatnonzero((u_prev.view(np.int64) != 0) | (u_cur.view(np.int64) != 0))
+    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (1, 1)
+    _guard_check(u_cur[lo:hi], dt, guard, work[lo:hi])
 
     for m in range(1, n_steps + 1):
+        if lo < hi:
+            lo, hi = max(lo - 1, 1), min(hi + 1, n_nodes - 1)
+        w = slice(lo, hi)
         # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1);
         # neighbours are summed first so mirror-symmetric data stay bit-even
-        np.add(u_cur[2:], u_cur[:-2], out=work[1:-1])
+        np.add(u_cur[lo + 1:hi + 1], u_cur[lo - 1:hi - 1], out=work[w])
         if c2 != 1.0:
-            work[1:-1] *= c2
-            work[1:-1] += (2.0 - 2.0 * c2) * u_cur[1:-1]
+            work[w] *= c2
+            work[w] += (2.0 - 2.0 * c2) * u_cur[w]
         if dt2s != 0.0:
-            nl.power_term(u_cur[1:-1], out=pw)
-            pw *= dt2s
-            work[1:-1] += pw
-        np.subtract(work[1:-1], u_prev[1:-1], out=u_next[1:-1])
+            nl.power_term(u_cur[w], out=pw[w])
+            pw[w] *= dt2s
+            work[w] += pw[w]
+        np.subtract(work[w], u_prev[w], out=u_next[w])
         u_next[0] = 0.0
         u_next[-1] = 0.0
-        _guard_check(u_next, (m + 1) * dt, guard, work)
+        _guard_check(u_next[w], (m + 1) * dt, guard, work[w])
 
         if m in schedule or m == n_steps or level_sink is not None:
             np.subtract(u_next, u_prev, out=v_buf)
@@ -199,6 +222,8 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
 
 
 def _guard_check(u, t, guard, scratch):
+    if not u.size:
+        return
     np.abs(u, out=scratch)
     sup = scratch.max()
     if not (sup < guard):

@@ -103,6 +103,17 @@ def test_flux_check_and_trapezoid(tmp_path):
     assert rep2["verdict"] == "pass"
 
 
+def test_flux_check_off_lattice_time_is_a_validation_error(tmp_path):
+    # at cfl < 1 only x is interpolated; times must stay lattice times
+    out = tmp_path / "flux"
+    code = run_cli(["flux-check", "--out-dir", str(out), "--quiet",
+                    "--override", "grid.cfl=0.9"])
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_type"] == "ValidationError"
+    assert "t=0.5 is not a lattice time" in err["message"]
+
+
 def test_selfsimilar_outputs(tmp_path):
     out = tmp_path / "ss"
     code = run_cli(["selfsimilar", "--out-dir", str(out), "--quiet",

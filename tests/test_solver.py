@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
                        Nonlinearity, Observer, Trajectory, evolve, first_step)
 from wavelab1d.energy import norms
+from tests_support import level_bytes, with_full_grid
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -83,6 +85,97 @@ def test_power_term_out_matches_allocating_form(p):
     assert nl.power_term(u, out=out) is out
     assert np.array_equal(out, nl.power_term(u))
     np.testing.assert_allclose(out, np.abs(u) ** (p - 1.0) * u, rtol=1e-15, atol=0.0)
+
+
+WINDOW_DATA = {
+    "mirrored_bump": InitialData.polynomial_bump(amplitude=3.0, center=1.5, radius=1.0,
+                                                 mirror=True),
+    # samples to -0.0 on every node outside its support
+    "negative_bump": InitialData.polynomial_bump(amplitude=-0.8, radius=1.0),
+    "moving_gaussian": InitialData.gaussian(amplitude=1.0, center=-1.0, width=0.5,
+                                            velocity_fraction=0.5),
+    "zero": InitialData.zero(),
+}
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
+@pytest.mark.parametrize("p", [3.0, 2.5])
+@pytest.mark.parametrize("sign", ["defocusing", "focusing", "disabled"])
+def test_windowed_evolve_matches_full_grid_loop(cfl, p, sign):
+    # every emitted level, and the (t, sup) of each blow-up, bit for bit
+    g = GridSpec(-8.0, 8.0, 800, cfl=cfl)
+    nl = Nonlinearity(p=p, sign=sign)
+    for name, init in WINDOW_DATA.items():
+        got = level_bytes(evolve, init, g, nl, 1.5)
+        assert got == with_full_grid(level_bytes, evolve, init, g, nl, 1.5), name
+        # the focusing mirrored bump is the blow-up case
+        assert (got[0] == "blowup") == (sign == "focusing" and name == "mirrored_bump")
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
+def test_windowed_first_step_clamps_to_the_interior(cfl):
+    # data nonzero on every node, boundary included
+    g = GridSpec(-2.0, 2.0, 100, cfl=cfl)
+    rng = np.random.default_rng(7)
+    init = InitialData.explicit(rng.normal(size=g.n_nodes), rng.normal(size=g.n_nodes))
+    for nl in (P3, LINEAR, Nonlinearity(p=2.5, sign="focusing")):
+        a = first_step(init, g, nl)
+        b = with_full_grid(first_step, init, g, nl)
+        assert a.u.tobytes() == b.u.tobytes() and a.v.tobytes() == b.v.tobytes()
+
+
+SIGNED_SAMPLES = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), cfl=st.floats(0.3, 1.0), p=st.floats(1.1, 5.0),
+       sign=st.sampled_from(["defocusing", "focusing", "disabled"]),
+       n_steps=st.integers(1, 30), guard_frac=st.sampled_from([None, 0.9, 0.999]))
+def test_windowed_evolve_matches_full_grid_on_sparse_data(data, cfl, p, sign, n_steps,
+                                                          guard_frac):
+    # nonzero samples on a few central nodes, -0.0 anywhere (it is not support,
+    # so it may sit on the boundary nodes)
+    g = GridSpec(-20.0, 20.0, 100, cfl=cfl)
+    n = g.n_nodes
+    u = np.zeros(n)
+    v = np.zeros(n)
+    nodes = st.integers(0, n - 1)
+    for arr in (u, v):
+        for j in data.draw(st.lists(st.integers(40, 60), max_size=6)):
+            arr[j] = data.draw(SIGNED_SAMPLES)
+        for j in data.draw(st.lists(nodes, max_size=3)):
+            if arr[j] == 0.0:
+                arr[j] = -0.0
+    init = InitialData.explicit(u, v)
+    args = (init, g, Nonlinearity(p=p, sign=sign), n_steps * g.dt)
+    guard = 1e8
+    levels = with_full_grid(level_bytes, evolve, *args)
+    if guard_frac is not None and levels[0] != "blowup":
+        # above the data's sup and below the later levels' sup: trips mid-run
+        later = max(np.abs(np.frombuffer(u_bytes)).max() for _, u_bytes, _ in levels[1:])
+        sup0 = max(np.abs(u).max(), np.abs(v).max())
+        guard = max(guard_frac * later, np.nextafter(sup0, np.inf))
+    assert level_bytes(evolve, *args, guard=guard) == \
+        with_full_grid(level_bytes, evolve, *args, guard=guard)
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.5])
+def test_domain_check_at_the_exact_boundary(cfl):
+    # support plus (n_steps + 2) dx lands exactly on both domain edges
+    g = GridSpec(-2.0, 2.0, 200, cfl=cfl)
+    n = g.n_nodes
+    j_lo = 30
+    u0 = np.zeros(n)
+    u0[j_lo:n - j_lo] = 0.5
+    init = InitialData.explicit(u0, np.zeros(n))
+    n_steps = j_lo - 2
+    s = evolve(init, g, P3, n_steps * g.dt)
+    assert s.u[0] == 0.0 and s.u[-1] == 0.0
+    assert s.u[1] == 0.0 and s.u[2] != 0.0  # the cone reached node 2
+    ref = with_full_grid(evolve, init, g, P3, n_steps * g.dt)
+    assert s.u.tobytes() == ref.u.tobytes() and s.v.tobytes() == ref.v.tobytes()
+    with pytest.raises(DomainTooSmall):
+        evolve(init, g, P3, (n_steps + 1) * g.dt)
 
 
 def test_finite_speed_of_propagation_exact_on_lattice():

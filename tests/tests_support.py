@@ -1,7 +1,107 @@
 """Shared helpers for the test suite."""
+from unittest import mock
+
 import numpy as np
+
+from wavelab1d import solver
+from wavelab1d.errors import BlowUpDetected
+from wavelab1d.grid import FieldState
+from wavelab1d.solver import _guard_check, _start_level
 
 
 def five_point_derivative(f, h):
     """Fourth-order centered first derivative on a uniform grid."""
     return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+
+
+def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
+    """The full-grid leapfrog loop that ``solver._march`` replaced, verbatim.
+
+    It updates every interior node on every step; the windowed loop must
+    reproduce it bit for bit.
+    """
+    dt = grid.dt
+    u0, u1 = init.sample(grid)
+
+    def emit(step, u_arr, v_arr):
+        state = FieldState(t=step * dt, u=u_arr.copy(), v=v_arr.copy())
+        for fn in schedule.get(step, ()):
+            fn(state)
+        if level_sink is not None:
+            level_sink(step, state)
+        return state
+
+    sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))) if u0.size else 0.0
+    if not (sup0 < guard):
+        raise BlowUpDetected(0.0, sup0)
+
+    wants0 = 0 in schedule or level_sink is not None or n_steps == 0
+    state0 = emit(0, u0, u1) if wants0 else None
+    if n_steps == 0:
+        return state0
+
+    u_prev = u0.copy()
+    u_cur = _start_level(u0, u1, init, grid, nl)
+
+    c2 = grid.cfl * grid.cfl
+    dt2s = grid.dt * grid.dt * nl.source_sign
+    n_nodes = grid.n_nodes
+    u_next = np.zeros(n_nodes)
+    work = np.zeros(n_nodes)
+    pw = np.zeros(n_nodes - 2) if dt2s != 0.0 else None
+    v_buf = np.empty(n_nodes)
+    final_state = None
+
+    _guard_check(u_cur, dt, guard, work)
+
+    for m in range(1, n_steps + 1):
+        # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1);
+        # neighbours are summed first so mirror-symmetric data stay bit-even
+        np.add(u_cur[2:], u_cur[:-2], out=work[1:-1])
+        if c2 != 1.0:
+            work[1:-1] *= c2
+            work[1:-1] += (2.0 - 2.0 * c2) * u_cur[1:-1]
+        if dt2s != 0.0:
+            nl.power_term(u_cur[1:-1], out=pw)
+            pw *= dt2s
+            work[1:-1] += pw
+        np.subtract(work[1:-1], u_prev[1:-1], out=u_next[1:-1])
+        u_next[0] = 0.0
+        u_next[-1] = 0.0
+        _guard_check(u_next, (m + 1) * dt, guard, work)
+
+        if m in schedule or m == n_steps or level_sink is not None:
+            np.subtract(u_next, u_prev, out=v_buf)
+            v_buf /= (2.0 * dt)
+            state = emit(m, u_cur, v_buf)
+            if m == n_steps:
+                final_state = state
+
+        u_prev, u_cur, u_next = u_cur, u_next, u_prev
+
+    return final_state
+
+
+def with_full_grid(fn, *args, **kwargs):
+    """Call ``fn`` (``evolve`` or ``first_step``) on ``full_grid_march``."""
+    with mock.patch.object(solver, "_march", full_grid_march):
+        return fn(*args, **kwargs)
+
+
+def level_bytes(fn, *args, **kwargs):
+    """Every level ``fn`` emits as (t, u bytes, v bytes), or the blow-up.
+
+    ``fn`` is ``evolve``-like and takes ``_level_sink``; a ``BlowUpDetected``
+    is returned as ("blowup", t, sup as hex) so two runs compare with ``==``,
+    NaN included.
+    """
+    levels = []
+
+    def sink(step, state):
+        levels.append((state.t, state.u.tobytes(), state.v.tobytes()))
+
+    try:
+        final = fn(*args, _level_sink=sink, **kwargs)
+    except BlowUpDetected as exc:
+        return ("blowup", exc.t, float(exc.sup_value).hex())
+    return levels + [(final.t, final.u.tobytes(), final.v.tobytes())]

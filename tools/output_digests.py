@@ -1,15 +1,20 @@
-"""Print the sha256 of every output of every CLI subcommand at its default config.
+"""Print the sha256 of every output of every CLI subcommand at its default
+config, then of a fixed list of non-default runs.
 
 Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/output_digests.py
 
-Each subcommand runs in-process into its own directory under a temporary
-directory, which is removed afterwards.  The script prints one line per
-subcommand with its exit status, then one ``<sha256>  <subcommand>/<file>``
-line per output file.  ``manifest.json`` is skipped because it records wall
-times.  Two source trees whose printouts are identical produce byte-identical
-outputs; run it with ``PYTHONPATH`` pointing at each tree to compare them.
+Each run goes in-process into its own directory under a temporary
+directory, which is removed afterwards.  The script prints one line per run
+with its exit status, then one ``<sha256>  <run>/<file>`` line per output
+file.  ``manifest.json`` is skipped because it records wall times.  Two
+source trees whose printouts are identical produce byte-identical outputs;
+run it with ``PYTHONPATH`` pointing at each tree to compare them.
+
+The non-default runs are cheap (a few seconds each) and cross the edge
+cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
+a blow-up, dense trajectories and zero data.
 """
 from __future__ import annotations
 
@@ -21,17 +26,34 @@ from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
 from wavelab1d.manifest import MANIFEST_NAME
 
+EXTRA_RUNS = (
+    # a negative bump samples to -0.0 outside its support
+    ("simulate", ("init.kind=polynomial_bump", "init.amplitude=-0.8", "grid.cfl=0.9")),
+    ("trapezoid", ("init.kind=polynomial_bump", "init.amplitude=-0.8")),
+    # zero data: an empty window
+    ("tail", ("init.amplitude=0.0",)),
+    ("simulate", ("nl.p=2.5", "grid.cfl=0.5", "init.velocity_fraction=0.5",
+                  "run.t_end=2")),
+    # blows up at cfl < 1
+    ("focusing", ("grid.cfl=0.9",)),
+)
+
 
 def digests(root: Path):
-    """Yield the printed lines for every subcommand, run under ``root``."""
-    for name in SUBCOMMANDS:
-        out_dir = root / name
-        code = main([name, "--out-dir", str(out_dir), "--quiet"])
-        yield f"{name}: exit {code}"
+    """Yield the printed lines for every run, each under its own dir in ``root``."""
+    runs = [(name, ()) for name in SUBCOMMANDS] + list(EXTRA_RUNS)
+    for i, (name, overrides) in enumerate(runs):
+        label = f"{name}[{' '.join(overrides)}]" if overrides else name
+        out_dir = root / f"{i:02d}"
+        args = [name, "--out-dir", str(out_dir), "--quiet"]
+        for pair in overrides:
+            args += ["--override", pair]
+        code = main(args)
+        yield f"{label}: exit {code}"
         for path in sorted(out_dir.iterdir()):
             if path.name != MANIFEST_NAME:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                yield f"{digest}  {name}/{path.name}"
+                yield f"{digest}  {label}/{path.name}"
 
 
 if __name__ == "__main__":
