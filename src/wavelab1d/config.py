@@ -227,21 +227,7 @@ class Config:
         return Nonlinearity(p=self["nl.p"], sign=self["nl.sign"])
 
     def initial_data(self) -> InitialData:
-        kind = self["init.kind"]
-        if kind == "gaussian":
-            return InitialData.gaussian(
-                amplitude=self["init.amplitude"], center=self["init.center"],
-                width=self["init.width"],
-                velocity_fraction=self["init.velocity_fraction"],
-                mirror=self["init.mirror"])
-        if kind == "polynomial_bump":
-            return InitialData.polynomial_bump(
-                amplitude=self["init.amplitude"], center=self["init.center"],
-                radius=self["init.radius"], power=self["init.power"],
-                velocity_fraction=self["init.velocity_fraction"],
-                mirror=self["init.mirror"])
-        raise ValidationError("init.kind",
-                              f"{kind!r} cannot be built from a config file")
+        return _initial_data(self.as_dict())
 
     def grid(self) -> GridSpec:
         x_min, x_max, dx = self["grid.x_min"], self["grid.x_max"], self["grid.dx"]
@@ -290,14 +276,28 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
     return cfg
 
 
+def _initial_data(values: dict) -> InitialData:
+    """The ``init.*`` keys as the ``InitialData`` fields of the same names."""
+    kind = values["init.kind"]
+    if kind not in ("gaussian", "polynomial_bump"):
+        raise ValidationError("init.kind",
+                              f"{kind!r} cannot be built from a config file")
+    return InitialData(**{k[len("init."):]: v for k, v in values.items()
+                          if k.startswith("init.")})
+
+
 def _resolve_derived(subcommand: str, values: dict):
+    # range checks on the values the derivations below divide by or size with
+    if "grid.cfl" in values and not 0.0 < values["grid.cfl"] <= 1.0:
+        raise ValidationError("grid.cfl", "cfl in (0,1]")
+    if "run.t_end" in values and values["run.t_end"] < 0.0:
+        raise ValidationError("run.t_end", "must be nonnegative")
     if "grid.dx" in values:
         dx = values["grid.dx"]
         if not (isinstance(dx, float) and dx > 0.0):
             raise ValidationError("grid.dx", "dx must be a positive number")
         if values["grid.x_min"] is None or values["grid.x_max"] is None:
-            init = _tentative_init(values)
-            support = init.support_interval()
+            support = _initial_data(values).support_interval()
             radius = max(abs(support[0]), abs(support[1])) if support else 1.0
             horizon = values.get("run.t_end")
             if horizon is None:
@@ -309,8 +309,7 @@ def _resolve_derived(subcommand: str, values: dict):
                     horizon = 0.0
             # the lattice support cone spreads one cell per step, i.e. at
             # speed 1/cfl, so undersize domains would trip DomainTooSmall
-            cfl = values.get("grid.cfl", 1.0)
-            half = radius + horizon / cfl + 2.0
+            half = radius + horizon / values["grid.cfl"] + 2.0
             n_half = int(math.ceil(half / dx - 1e-9))
             values["grid.x_min"] = -n_half * dx
             values["grid.x_max"] = n_half * dx
@@ -330,25 +329,18 @@ def _resolve_derived(subcommand: str, values: dict):
         values["run.t_samples"] = tuple(samples)
 
 
-def _tentative_init(values) -> InitialData:
-    cfg = Config(subcommand="simulate", values=tuple(sorted(
-        (k, v) for k, v in values.items() if k.startswith("init."))))
-    return cfg.initial_data()
-
-
 def _validate(cfg: Config):
     d = cfg.as_dict()
     if "nl.p" in d:
-        if not d["nl.p"] > 1.0:
-            raise ValidationError("nl.p", "p must exceed 1")
-        Nonlinearity(p=d["nl.p"], sign=d["nl.sign"])
-    if "grid.cfl" in d and not 0.0 < d["grid.cfl"] <= 1.0:
-        raise ValidationError("grid.cfl", "cfl in (0,1]")
+        cfg.nonlinearity()
     if "grid.dx" in d:
         cfg.grid()
         cfg.initial_data()
-    if "run.t_end" in d and d["run.t_end"] < 0.0:
-        raise ValidationError("run.t_end", "must be nonnegative")
+    if "run.t_samples" in d:
+        ts = d["run.t_samples"]
+        if not ts or min(ts) < 0.0:
+            raise ValidationError("run.t_samples",
+                                  "need at least one sample time, none negative")
     if cfg.subcommand == "decay" and not 0.0 < d["run.c"] < 1.0:
         raise ValidationError("run.c", "speed fraction in (0,1)")
     if cfg.subcommand == "concentration":

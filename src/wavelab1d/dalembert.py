@@ -225,9 +225,8 @@ def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: 
             U = L
         else:
             U, _, _ = _picard_from_linear(L, nl, dx, tol_fixed_point, max_iterations)
+        state = _slice_state(U, K_w, dx)
         if done + K_w >= K_total:
-            state = _slice_state(U, K_w, dx)
             return FieldState(t=(done + K_w) * dx, u=state.u, v=state.v)
-        v = (3.0 * U[K_w] - 4.0 * U[K_w - 1] + U[K_w - 2]) / (2.0 * dx)
-        current = InitialData.explicit(U[K_w], v)
+        current = InitialData.explicit(state.u, state.v)
         done += K_w

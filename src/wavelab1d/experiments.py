@@ -385,11 +385,12 @@ def run_focusing(cfg: Config) -> ExperimentReport:
     if blowup_time is not None:
         report.scalars["blowup_time"] = blowup_time
 
-    if not cols["h1l2_norm"] or max(cols["h1l2_norm"]) == 0.0 and blowup_time is None:
+    peak = max(cols["h1l2_norm"], default=0.0)
+    if blowup_time is None and peak == 0.0:
         report.verdict = INCONCLUSIVE
         report.notes.append("zero solution: the dichotomy hypotheses are not met")
         return report
-    norm_exceeded = max(cols["h1l2_norm"]) >= cfg["thresholds.norm_blowup"]
+    norm_exceeded = peak >= cfg["thresholds.norm_blowup"]
     _settle(report, {"blowup_or_growth": blowup_time is not None or norm_exceeded})
     return report
 

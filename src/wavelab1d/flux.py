@@ -346,11 +346,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
                  - interval_energy(d2, grid, t2 - eta, grid.x_max, which))
 
     u, ux, ut = _gather(trajectory, levels, xs)
-    if which == "plus":
-        integrand = potential(u, nl)
-    else:
-        s = ux + ut
-        integrand = 0.5 * s * s
+    integrand = _characteristic_integrand(u, ux, ut, nl, RIGHT_CHAR, which)
     flux_integral = trapezoid(integrand, grid.dt)
 
     return TrapezoidReport(

@@ -165,7 +165,7 @@ class FieldState:
         object.__setattr__(self, "v", v)
 
 
-_KINDS = ("gaussian", "polynomial_bump", "self_similar_trace", "explicit_samples")
+_KINDS = ("gaussian", "polynomial_bump", "explicit_samples")
 
 
 @dataclass(frozen=True)
@@ -178,8 +178,6 @@ class InitialData:
       |u0| < SUPPORT_TRUNCATION.  The induced energy error is O(trunc^2 * w),
       around 1e-28 for unit parameters.
     * ``polynomial_bump``: u0 = A (1 - ((x-c)/R)^2)_+^q, compactly supported.
-    * ``self_similar_trace``: u0 = a x^-beta, u1 = b x^(-beta-1); only valid
-      on grids with x_min > 0 (the trace is singular at x = 0).
     * ``explicit_samples``: u0, u1 given directly on the grid nodes.
 
     For the analytic kinds the velocity is u1 = -velocity_fraction * u0', so
@@ -196,9 +194,6 @@ class InitialData:
     power: int = 2
     velocity_fraction: float = 0.0
     mirror: bool = False
-    a: float = 0.0
-    b: float = 0.0
-    beta: float = 1.0
     u_samples: np.ndarray | None = None
     v_samples: np.ndarray | None = None
 
@@ -212,8 +207,6 @@ class InitialData:
                 raise ValidationError("init.power", "bump power must be >= 1")
         if self.kind == "gaussian" and self.width <= 0:
             raise ValidationError("init.width", "gaussian width must be positive")
-        if self.kind == "self_similar_trace" and self.beta <= 0:
-            raise ValidationError("init.beta", "trace decay exponent must be positive")
         if self.kind == "explicit_samples":
             if self.u_samples is None or self.v_samples is None:
                 raise ValidationError("init", "explicit_samples needs u_samples and v_samples")
@@ -238,10 +231,6 @@ class InitialData:
         return cls(kind="polynomial_bump", amplitude=amplitude, center=center,
                    radius=radius, power=power, velocity_fraction=velocity_fraction,
                    mirror=mirror)
-
-    @classmethod
-    def self_similar_trace(cls, a, b, beta):
-        return cls(kind="self_similar_trace", a=a, b=b, beta=beta)
 
     @classmethod
     def explicit(cls, u, v):
@@ -278,8 +267,6 @@ class InitialData:
             body = 1.0 - z * z
             np.clip(body, 0.0, None, out=body)
             return self.amplitude * body ** self.power
-        if self.kind == "self_similar_trace":
-            return self.a * x ** (-self.beta)
         raise ValidationError("init.kind", "explicit_samples has no closed form")
 
     def _base_u0_prime(self, x):
@@ -313,8 +300,6 @@ class InitialData:
     def u1_at(self, x):
         """u1 evaluated at arbitrary positions (analytic kinds only)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "self_similar_trace":
-            return self.b * x ** (-self.beta - 1.0)
         out = -self.velocity_fraction * self._base_u0_prime(x)
         if self.mirror:
             # mirror of (u0, u1)(x) is (u0(-x), u1(-x))
@@ -348,17 +333,13 @@ class InitialData:
             if len(self.u_samples) != grid.n_nodes:
                 raise ValidationError("init", "explicit samples do not match the grid")
             return self.u_samples.copy(), self.v_samples.copy()
-        if self.kind == "self_similar_trace":
-            if grid.x_min <= 0.0:
-                raise ValidationError("init", "self_similar_trace requires x_min > 0")
         x = grid.nodes
         return self.u0_at(x), self.u1_at(x)
 
     def support_interval(self, grid: GridSpec | None = None):
         """Smallest interval containing all nonzero data, or None if zero.
 
-        self_similar_trace is supported on the whole grid; the analytic
-        kinds do not need the grid argument.
+        The analytic kinds do not need the grid argument.
         """
         if self.kind == "explicit_samples":
             if grid is None:
@@ -368,12 +349,6 @@ class InitialData:
             if nz.size == 0:
                 return None
             return grid.nodes[nz[0]], grid.nodes[nz[-1]]
-        if self.kind == "self_similar_trace":
-            if self.a == 0.0 and self.b == 0.0:
-                return None
-            if grid is None:
-                raise ValidationError("init", "trace support needs a grid")
-            return grid.x_min, grid.x_max
         r = self._truncation_radius()
         if r == 0.0 or self.amplitude == 0.0:
             return None

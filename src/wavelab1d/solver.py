@@ -164,9 +164,7 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
             level_sink(step, state)
         return state
 
-    sup0 = max(float(np.max(np.abs(u0))), float(np.max(np.abs(u1)))) if u0.size else 0.0
-    if not (sup0 < guard):
-        raise BlowUpDetected(0.0, sup0)
+    _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
     wants0 = 0 in schedule or level_sink is not None or n_steps == 0
     state0 = emit(0, u0, u1) if wants0 else None

@@ -71,14 +71,17 @@ def test_dispatch_rejects_unknown_subcommand(tmp_path):
         dispatch("nope", resolve("cp-table"), tmp_path / "nope", quiet=True)
 
 
-def test_error_exit_and_error_json(tmp_path):
+@pytest.mark.parametrize("override", ["nl.p=0.5", "grid.cfl=0", "grid.cfl=-0.5",
+                                      "run.t_samples=,", "run.t_samples=-1,0,2",
+                                      "run.t_end=-1"])
+def test_error_exit_and_error_json(tmp_path, override):
     out = tmp_path / "bad"
     code = run_cli(["simulate", "--out-dir", str(out), "--quiet",
-                    "--override", "nl.p=0.5"])
+                    "--override", override])
     assert code == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error_type"] == "ValidationError"
-    assert "exceed 1" in err["message"]
+    assert err["message"].startswith(override.split("=")[0] + ": ")
 
 
 def test_flux_check_and_trapezoid(tmp_path):

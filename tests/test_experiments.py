@@ -123,6 +123,14 @@ def test_focusing_small_data_survives():
     assert rep.verdict == "fail"  # neither branch of the dichotomy observed
 
 
+def test_focusing_blowup_before_the_first_sample():
+    ov = {"grid.dx": "0.005", "run.t_samples": "5,10"}
+    rep = run_focusing(resolve("focusing", {}, ov))
+    assert not rep.columns["t"]
+    assert rep.scalars["blowup_time"] < 5.0
+    assert rep.verdict == "pass"
+
+
 def test_focusing_zero_data_inconclusive():
     rep = run_focusing(resolve("focusing", {}, _zero()))
     assert rep.verdict == "inconclusive"

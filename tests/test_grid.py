@@ -83,16 +83,6 @@ def test_mirror_makes_even_data():
     assert np.all(u1 == u1[::-1])
 
 
-def test_self_similar_trace_needs_positive_domain():
-    init = InitialData.self_similar_trace(a=1.0, b=0.5, beta=1.0)
-    with pytest.raises(ValidationError):
-        init.sample(GridSpec(-1.0, 3.0, 100))
-    g = GridSpec(1.0, 5.0, 100)
-    u0, u1 = init.sample(g)
-    assert u0[0] == pytest.approx(1.0)
-    assert u1[0] == pytest.approx(0.5)
-
-
 def test_explicit_samples_roundtrip():
     g = GridSpec(0.0, 1.0, 10)
     init = InitialData.explicit(np.arange(11.0), np.ones(11))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
-                       Nonlinearity, Observer, Trajectory, evolve, first_step)
+                       Nonlinearity, Observer, Trajectory, ValidationError, evolve,
+                       first_step)
 from wavelab1d.energy import norms
 from tests_support import level_bytes, with_full_grid
 
@@ -219,6 +220,31 @@ def test_blowup_detected_for_focusing():
     with pytest.raises(BlowUpDetected) as info:
         evolve(init, g, Nonlinearity(p=3.0, sign="focusing"), 20.0)
     assert 0.0 < info.value.t < 20.0
+
+
+def test_blowup_guard_reads_u_at_every_level():
+    # t = 0 included: a large velocity alone does not stop the run
+    g = GridSpec(-2.0, 2.0, 200)
+    zeros = np.zeros(g.n_nodes)
+    v = zeros.copy()
+    v[100] = 2e8
+    s = evolve(InitialData.explicit(zeros, v), g, LINEAR, 0.1)
+    assert s.t == pytest.approx(0.1)
+    assert np.abs(s.u).max() < 1e8
+
+    v[100] = np.nan
+    with pytest.raises(BlowUpDetected) as info:
+        evolve(InitialData.explicit(zeros, v), g, LINEAR, 0.1)
+    assert info.value.t == g.dt
+    with pytest.raises(ValidationError):
+        evolve(InitialData.explicit(zeros, v), g, LINEAR, 0.1,
+               observers=[Observer([0.0], lambda s: None)])
+
+    u = zeros.copy()
+    u[100] = 2e8
+    with pytest.raises(BlowUpDetected) as info:
+        evolve(InitialData.explicit(u, zeros), g, LINEAR, 0.1)
+    assert info.value.t == 0.0
 
 
 def test_observer_beyond_horizon_rejected():

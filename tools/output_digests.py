@@ -14,7 +14,9 @@ run it with ``PYTHONPATH`` pointing at each tree to compare them.
 
 The non-default runs are cheap (a few seconds each) and cross the edge
 cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
-a blow-up, dense trajectories and zero data.
+a blow-up, dense trajectories and zero data.  Two more set every ``init.*``
+key that an analytic kind reads, which pins the key-to-field mapping of the
+config's initial-data builder.
 """
 from __future__ import annotations
 
@@ -36,6 +38,9 @@ EXTRA_RUNS = (
                   "run.t_end=2")),
     # blows up at cfl < 1
     ("focusing", ("grid.cfl=0.9",)),
+    ("simulate", ("init.kind=polynomial_bump", "init.radius=0.75", "init.power=3",
+                  "init.center=0.5", "init.velocity_fraction=0.25", "run.t_end=2")),
+    ("simulate", ("init.width=0.5", "init.center=-0.5", "run.t_end=2")),
 )
 
 
