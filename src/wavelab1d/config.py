@@ -172,10 +172,17 @@ def parse_text(text: str) -> dict[str, str]:
     return raw
 
 
+def _finite(key: str, value: float) -> float:
+    # inf and nan parse as floats, but no key can size or sample with them
+    if not math.isfinite(value):
+        raise ValidationError(key, "must be finite")
+    return value
+
+
 def _convert(key: str, spec: KeySpec, text: str):
     try:
         if spec.vtype == _FLOAT:
-            return float(text)
+            return _finite(key, float(text))
         if spec.vtype == _INT:
             return int(text)
         if spec.vtype == _BOOL:
@@ -185,7 +192,7 @@ def _convert(key: str, spec: KeySpec, text: str):
                 return False
             raise ValueError(text)
         if spec.vtype == _LIST:
-            return tuple(float(tok) for tok in text.split(",") if tok.strip())
+            return tuple(_finite(key, float(tok)) for tok in text.split(",") if tok.strip())
         return text
     except ValueError:
         raise ValidationError(key, f"cannot parse {text!r} as {spec.vtype}")

@@ -1,16 +1,22 @@
 """Run manifests: the reproducibility record of every CLI run.
 
 A manifest stores the artifact version, the fully resolved configuration
-text, input digests, wall times and the digest of every emitted file.  The
-configuration echo is sufficient to re-execute the run bit-exactly; only
-the wall times differ between a run and its re-execution.
+text, input digests, wall times, the environment and the digest of every
+emitted file.  The configuration echo is sufficient to re-execute the run
+bit-exactly on the same environment; only the wall times differ between a
+run and its re-execution.  The environment (Python and numpy versions,
+platform, byte order) is recorded because the output bits depend on it.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import platform
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from ._version import __version__
 
@@ -35,6 +41,7 @@ class RunManifest:
     finished: str = ""
     verdict: str = ""
     outputs: list = field(default_factory=list)
+    environment: dict = field(default_factory=dict)
 
     def add_output(self, path, base_dir):
         path = Path(path)
@@ -58,6 +65,12 @@ def new_manifest(subcommand: str, config_text: str) -> RunManifest:
         subcommand=subcommand,
         config_text=config_text,
         input_digests={"config_text": sha256_bytes(config_text.encode())},
+        environment={
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": platform.platform(),
+            "byteorder": sys.byteorder,
+        },
     )
 
 

@@ -229,11 +229,19 @@ def _guard_check(u, t, guard, scratch):
 
 
 class Trajectory:
-    """Dense storage of an evolution: every time level with velocities.
+    """Dense storage of an evolution: every time level of u.
 
     Intended for short horizons (flux loops, trapezoid checks, virial and
     Morawetz integrals); long experiments use observers instead.  Storage is
     append-only during evolution and read-only afterwards.
+
+    ``u_levels`` has shape (n_levels, n_nodes).  ``v_levels`` has shape
+    (2, n_nodes) and holds only the two velocities the u levels cannot give:
+    row 0 is level 0 (the data's u1) and row -1 is the last level (it needs
+    the unstored level n_levels).  With one level both rows are u1.  Every
+    other velocity is recomputed as (u[m+1] - u[m-1]) / (2 dt) with the
+    stepper's own operations on the same operands, so ``state`` and
+    ``pointwise`` return the stepper's velocities bit for bit.
     """
 
     def __init__(self, grid: GridSpec, nl: Nonlinearity, times, u_levels, v_levels):
@@ -251,11 +259,14 @@ class Trajectory:
         n_steps = steps_for(t_end, grid.dt)
         n_nodes = grid.n_nodes
         u_levels = np.empty((n_steps + 1, n_nodes))
-        v_levels = np.empty((n_steps + 1, n_nodes))
+        v_levels = np.empty((2, n_nodes))
 
         def sink(step, state):
             u_levels[step] = state.u
-            v_levels[step] = state.v
+            if step == 0:
+                v_levels[0] = state.v
+            if step == n_steps:
+                v_levels[-1] = state.v
 
         evolve(init, grid, nl, t_end, guard=guard, _level_sink=sink)
         times = np.arange(n_steps + 1) * grid.dt
@@ -276,8 +287,9 @@ class Trajectory:
         return level
 
     def state(self, level: int) -> FieldState:
+        level = range(self.n_levels)[level]
         return FieldState(t=float(self.times[level]), u=self.u_levels[level].copy(),
-                          v=self.v_levels[level].copy())
+                          v=self._velocity(level, slice(None)))
 
     def pointwise(self, levels, js):
         """(u, u_x, u_t) at lattice points (levels[i], js[i]), vectorized.
@@ -285,6 +297,17 @@ class Trajectory:
         u_x is ``stencil_ux``, the stencil of sample_derivatives.
         """
         levels = np.asarray(levels, dtype=int)
+        levels = np.where(levels < 0, levels + self.n_levels, levels)
         js = np.asarray(js, dtype=int)
         ux = stencil_ux(self.u_levels, js, self.grid.dx, (levels,))
-        return self.u_levels[levels, js], ux, self.v_levels[levels, js]
+        return self.u_levels[levels, js], ux, self._velocity(levels, js)
+
+    def _velocity(self, levels, js):
+        """u_t at (levels, js): the stored end rows, else the stepper's difference."""
+        last = self.n_levels - 1
+        u = self.u_levels
+        v = np.subtract(u[np.minimum(levels + 1, last), js],
+                        u[np.maximum(levels - 1, 0), js])
+        v /= (2.0 * self.grid.dt)
+        return np.where(levels == 0, self.v_levels[0, js],
+                        np.where(levels == last, self.v_levels[-1, js], v))

@@ -73,7 +73,9 @@ def test_dispatch_rejects_unknown_subcommand(tmp_path):
 
 @pytest.mark.parametrize("override", ["nl.p=0.5", "grid.cfl=0", "grid.cfl=-0.5",
                                       "run.t_samples=,", "run.t_samples=-1,0,2",
-                                      "run.t_end=-1"])
+                                      "run.t_end=-1", "run.t_end=inf", "run.t_end=nan",
+                                      "run.sample_every=inf", "init.amplitude=nan",
+                                      "init.width=inf", "grid.dx=inf", "nl.p=inf"])
 def test_error_exit_and_error_json(tmp_path, override):
     out = tmp_path / "bad"
     code = run_cli(["simulate", "--out-dir", str(out), "--quiet",
@@ -146,6 +148,29 @@ def test_rerun_from_manifest_byte_identical(tmp_path):
     # and the bytes really are identical on disk
     for name in d1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_manifest_records_environment_and_old_format_loads(tmp_path):
+    import platform
+    import sys
+
+    out1 = tmp_path / "a"
+    assert run_cli(["simulate", "--out-dir", str(out1), "--quiet",
+                    "--override", "grid.dx=0.05", "--override", "run.t_end=1"]) == 0
+    data = json.loads((out1 / "manifest.json").read_text())
+    assert data["environment"] == {"python": platform.python_version(),
+                                   "numpy": np.__version__,
+                                   "platform": platform.platform(),
+                                   "byteorder": sys.byteorder}
+    # a manifest written before the field existed still loads and reruns
+    del data["environment"]
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(data))
+    assert load_manifest(old).environment == {}
+    out2 = tmp_path / "b"
+    m2 = load_manifest(rerun_from_manifest(old, out2))
+    assert m2.outputs == data["outputs"]
+    assert m2.environment == load_manifest(out1 / "manifest.json").environment
 
 
 def test_csv_floats_round_trip(tmp_path):

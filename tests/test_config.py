@@ -50,6 +50,16 @@ def test_validation_errors():
         resolve("simulate", {"nl.p": "not_a_number"})
 
 
+@pytest.mark.parametrize("subcommand, key, text", [
+    ("flux-check", "flux.t0", "inf"), ("trapezoid", "trapezoid.t2", "inf"),
+    ("decay", "run.t_samples", "5,inf"), ("cp-table", "cp.p_values", "3,nan"),
+    ("simulate", "run.guard", "-inf")])
+def test_non_finite_values_rejected(subcommand, key, text):
+    with pytest.raises(ValidationError) as info:
+        resolve(subcommand, {key: text})
+    assert str(info.value) == f"{key}: must be finite"
+
+
 def test_scenario_key_must_match():
     assert resolve("decay", {"scenario": "decay"})["run.c"] == 0.5
     with pytest.raises(ValidationError):

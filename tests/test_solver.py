@@ -266,6 +266,33 @@ def test_trajectory_record_levels():
     assert np.all(s.v == direct[0].v)
 
 
+@pytest.mark.parametrize("t_end", [1.0, 0.0])
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p", [3.0, 2.5])
+def test_trajectory_velocities_are_the_steppers_bits(cfl, p, t_end):
+    # recomputed velocities against a copy of every emitted state.v
+    g = GridSpec(-8.0, 8.0, 800, cfl=cfl)
+    nl = Nonlinearity(p=p)
+    rng = np.random.default_rng(3)
+    for name in ("negative_bump", "moving_gaussian"):
+        init = WINDOW_DATA[name]
+        emitted = []
+        evolve(init, g, nl, t_end, _level_sink=lambda step, s: emitted.append(s.v.copy()))
+        traj = Trajectory.record(init, g, nl, t_end)
+        assert traj.v_levels.shape == (2, g.n_nodes)
+        assert traj.n_levels == len(emitted)
+        for m, v in enumerate(emitted):
+            assert traj.state(m).v.tobytes() == v.tobytes(), (name, m)
+        if t_end == 0.0:
+            assert traj.v_levels[0].tobytes() == traj.v_levels[-1].tobytes()
+        last = traj.n_levels - 1
+        levels = np.concatenate([[0, last, 0, last], rng.integers(0, last + 1, 200)])
+        js = rng.integers(0, g.n_nodes, levels.size)
+        _, _, ut = traj.pointwise(levels, js)
+        expected = np.array([emitted[m][j] for m, j in zip(levels, js)])
+        assert ut.tobytes() == expected.tobytes(), name
+
+
 def test_convergence_order_against_oracle():
     from wavelab1d import dalembert_oracle
     diffs = []
