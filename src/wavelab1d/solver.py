@@ -296,8 +296,7 @@ class Trajectory:
 
         u_x is ``stencil_ux``, the stencil of sample_derivatives.
         """
-        levels = np.asarray(levels, dtype=int)
-        levels = np.where(levels < 0, levels + self.n_levels, levels)
+        levels = np.arange(self.n_levels)[np.asarray(levels, dtype=int)]
         js = np.asarray(js, dtype=int)
         ux = stencil_ux(self.u_levels, js, self.grid.dx, (levels,))
         return self.u_levels[levels, js], ux, self._velocity(levels, js)

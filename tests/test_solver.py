@@ -291,6 +291,10 @@ def test_trajectory_velocities_are_the_steppers_bits(cfl, p, t_end):
         _, _, ut = traj.pointwise(levels, js)
         expected = np.array([emitted[m][j] for m, j in zip(levels, js)])
         assert ut.tobytes() == expected.tobytes(), name
+        _, _, ut = traj.pointwise([-1, -traj.n_levels], [0, 0])
+        assert ut.tobytes() == np.array([emitted[-1][0], emitted[0][0]]).tobytes()
+        with pytest.raises(IndexError):
+            traj.pointwise([-traj.n_levels - 1], [0])
 
 
 def test_convergence_order_against_oracle():

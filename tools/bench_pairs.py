@@ -6,21 +6,20 @@ Usage (from the repository root):
     git archive HEAD~1 | tar -x -C /tmp/parent     # the parent tree
     git archive HEAD | tar -x -C /tmp/change       # the change tree
     python3 tools/bench_pairs.py --parent /tmp/parent --change /tmp/change \\
-        --seed 11 --pairs 10 --out BENCH_6.json
+        --seed 11 --out BENCH_6.json
 
-For each workload, each pair runs
+For each workload of the parent's ``BENCHMARK.json``, each of ten pairs runs
 
     python3 benchmarks/run.py --workload W --seed N --seconds S --trace 0
 
 once in each tree, in fresh processes, and alternates which tree goes first
-(the parent in even pairs, the change in odd ones).  Both trees must hold
-the same ``benchmarks/`` and ``BENCHMARK.json``, so only the program
-differs.  ``--seconds`` defaults to ``run_seconds`` of the parent's
-``BENCHMARK.json``.  The output holds, per workload and side, every run's
-end-to-end metrics with their median and quartiles, ops attempted and
-failed and the digest status; per workload, the number of pairs the change
-won on each metric (ties count for neither side); and the environment the
-runs reported.  It reads what ``benchmarks/run.py`` prints and the result
+(the parent in even pairs, the change in odd ones).  S is ``run_seconds``
+of the parent's ``BENCHMARK.json``.  Both trees must hold the same
+``benchmarks/`` and ``BENCHMARK.json``, so only the program differs.  The
+output holds, per workload and side, every run's end-to-end metrics with
+their median and quartiles, ops attempted and failed and the digest status;
+per workload, the number of pairs the change won on each metric (ties count
+for neither side); and the environment the runs reported.  It reads what ``benchmarks/run.py`` prints and the result
 file it writes, and imports nothing from either tree.
 """
 from __future__ import annotations
@@ -32,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("concentration-default", "validation")
+PAIRS = 10
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,23 +85,20 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None)
-    parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    seconds = args.seconds or json.loads(
-        (trees["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
 
-    report = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs,
+    report = {"seed": args.seed, "seconds": seconds, "pairs": PAIRS,
               "command": "python3 benchmarks/run.py --workload W --seed N "
                          "--seconds S --trace 0",
               "order": "parent first in even pairs, change first in odd pairs",
               "environment": None, "workloads": {}}
-    for workload in args.workload or WORKLOADS:
+    for workload in (w["name"] for w in benchmark["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
                 run = run_once(trees[side], workload, args.seed, seconds)
