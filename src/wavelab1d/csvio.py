@@ -35,23 +35,6 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
-def read_csv(path):
-    """(header, rows) with numeric fields parsed back to floats."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for raw in reader:
-            parsed = []
-            for item in raw:
-                try:
-                    parsed.append(float(item))
-                except ValueError:
-                    parsed.append(item)
-            rows.append(parsed)
-    return header, rows
-
-
 def write_json(path, obj) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

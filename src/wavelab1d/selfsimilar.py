@@ -93,12 +93,6 @@ def potential(params: OdeParams, z, c_p: float | None = None):
     return c_p - 0.5 * bb * z * z + np.abs(z) ** (params.p + 1.0) / (params.p + 1.0)
 
 
-def constant_solution_value(p: float) -> float:
-    """The nonzero constant profile: f^(p-1) = beta(beta+1)."""
-    beta = 2.0 / (p - 1.0)
-    return (beta * (beta + 1.0)) ** (1.0 / (p - 1.0))
-
-
 # Dormand-Prince 5(4) tableau
 _DP_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _DP_A = (

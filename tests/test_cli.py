@@ -6,8 +6,8 @@ import pytest
 from wavelab1d import ValidationError
 from wavelab1d.cli import dispatch, main
 from wavelab1d.config import resolve
-from wavelab1d.csvio import read_csv
 from wavelab1d.manifest import load_manifest, rerun_from_manifest
+from tests_support import read_csv
 
 
 def run_cli(args):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavelab1d import (GridSpec, InitialData, NoContraction, Nonlinearity,
                        dalembert_oracle, evolve, evolve_by_dalembert,
                        picard_fixed_point)
-from wavelab1d.dalembert import linear_part, nonlinear_integral
+from wavelab1d.dalembert import _ROW_BLOCK, linear_part, nonlinear_integral
+from tests_support import row_by_row_nonlinear_integral, with_row_by_row_integral
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -90,3 +93,69 @@ def test_linear_part_matches_dalembert_formula():
     t = K * g.dx
     expected = 0.5 * (init.u0_at(x - t) + init.u0_at(x + t))
     assert np.abs(L[K] - expected).max() <= 1e-10
+
+
+POWERS = [1.5, 2.0, 2.5, 3.0, 5.0]
+SIGNS = ["defocusing", "focusing"]
+
+
+def _same_bits_as_row_by_row(levels, nl, dx=0.01):
+    new = nonlinear_integral(levels, nl, dx)
+    assert new.tobytes() == row_by_row_nonlinear_integral(levels, nl, dx).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), K=st.integers(0, 3 * _ROW_BLOCK), n=st.integers(1, 40),
+       p=st.sampled_from(POWERS), sign=st.sampled_from(SIGNS))
+def test_blocked_triangle_sums_match_row_by_row(data, K, n, p, sign):
+    # n < 2(K-1) takes the clipped-window branch; +0.0 and -0.0 anywhere
+    samples = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
+    levels = data.draw(hnp.arrays(np.float64, (K + 1, n), elements=samples))
+    _same_bits_as_row_by_row(levels, Nonlinearity(p=p, sign=sign))
+
+
+@pytest.mark.parametrize("p", POWERS)
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize("K,n", [(0, 7), (1, 7), (2 * _ROW_BLOCK + 3, 9),
+                                 (2 * _ROW_BLOCK + 3, 200)])
+def test_triangle_sums_edge_cases_match_row_by_row(K, n, p, sign):
+    rng = np.random.default_rng(K * n)
+    nl = Nonlinearity(p=p, sign=sign)
+    zero = np.zeros((K + 1, n))
+    _same_bits_as_row_by_row(zero, nl)                # the zero start: no sums
+    _same_bits_as_row_by_row(-zero, nl)               # -0.0 is not the zero start
+    levels = rng.normal(size=(K + 1, n))
+    levels[rng.random(levels.shape) < 0.3] = -0.0
+    _same_bits_as_row_by_row(levels, nl)
+    _same_bits_as_row_by_row(-levels, nl)
+
+
+@pytest.mark.parametrize("nl,T", [(P3, 0.25), (Nonlinearity(p=2.5, sign="focusing"), 0.2)])
+def test_picard_fixed_point_matches_row_by_row(nl, T):
+    g = _grid(0.01)
+    init = InitialData.gaussian(amplitude=0.5, velocity_fraction=0.3)
+    new = picard_fixed_point(init, g, nl, T)
+    ref = with_row_by_row_integral(picard_fixed_point, init, g, nl, T)
+    assert new.levels.tobytes() == ref.levels.tobytes()
+    assert new.iterations == ref.iterations
+    assert new.final_change == ref.final_change
+
+
+def test_windowed_oracle_never_leaves_a_one_step_window():
+    g = GridSpec(-3.0, 3.0, 600)
+    # three steps do not contract and two plus one has no velocity to restart from
+    with pytest.raises(NoContraction):
+        evolve_by_dalembert(InitialData.gaussian(amplitude=13.0), g, P3, 3 * g.dx)
+    # halving leaves three steps that do not contract; an earlier window is
+    # shortened instead of leaving one step
+    st = evolve_by_dalembert(InitialData.gaussian(amplitude=17.0), g, P3, 18 * g.dx)
+    assert st.t == 18 * g.dx
+    assert np.isfinite(st.u).all() and np.isfinite(st.v).all()
+    for K in range(3, 25):
+        for amplitude in range(12, 20):
+            init = InitialData.gaussian(amplitude=float(amplitude))
+            try:
+                st = evolve_by_dalembert(init, g, P3, K * g.dx)
+            except NoContraction:
+                continue
+            assert st.t == K * g.dx

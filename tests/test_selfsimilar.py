@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from wavelab1d import (InvalidParams, OdeParams, OutOfRange, cp_constant,
                        integrate_profile, lift_field, ray_energy_decay,
                        semi_energy)
-from wavelab1d.selfsimilar import constant_solution_value, potential
+from wavelab1d.selfsimilar import potential
+from tests_support import constant_solution_value
 
 
 def scan_cp(p, n=2_000_001):

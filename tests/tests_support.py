@@ -1,9 +1,10 @@
 """Shared helpers for the test suite."""
+import csv
 from unittest import mock
 
 import numpy as np
 
-from wavelab1d import solver
+from wavelab1d import dalembert, solver
 from wavelab1d.errors import BlowUpDetected
 from wavelab1d.grid import FieldState
 from wavelab1d.solver import _guard_check, _start_level
@@ -103,3 +104,72 @@ def level_bytes(fn, *args, **kwargs):
     except BlowUpDetected as exc:
         return ("blowup", exc.t, float(exc.sup_value).hex())
     return levels + [(final.t, final.u.tobytes(), final.v.tobytes())]
+
+
+def read_csv(path):
+    """(header, rows) with numeric fields parsed back to floats."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = []
+        for raw in reader:
+            parsed = []
+            for item in raw:
+                try:
+                    parsed.append(float(item))
+                except ValueError:
+                    parsed.append(item)
+            rows.append(parsed)
+    return header, rows
+
+
+def constant_solution_value(p: float) -> float:
+    """The nonzero constant profile: f^(p-1) = beta(beta+1)."""
+    beta = 2.0 / (p - 1.0)
+    return (beta * (beta + 1.0)) ** (1.0 / (p - 1.0))
+
+
+def _window_sums(C, m, n_nodes):
+    """W[j] = sum of gbar over lattice indices [j-m, j+m], gbar zero outside.
+
+    C is the zero-led prefix-sum row (length n_nodes+1).
+    """
+    last = n_nodes  # C has indices 0..n_nodes
+    W = np.empty(n_nodes)
+    if 2 * m < n_nodes:
+        W[m:n_nodes - m] = C[2 * m + 1:] - C[:n_nodes - 2 * m]
+        W[:m] = C[m + 1:2 * m + 1]
+        W[n_nodes - m:] = C[last] - C[n_nodes - 2 * m:n_nodes - m]
+    else:
+        j = np.arange(n_nodes)
+        W[:] = C[np.minimum(j + m + 1, last)] - C[np.maximum(j - m, 0)]
+    return W
+
+
+def row_by_row_nonlinear_integral(levels, nl, dx):
+    """The one-row-at-a-time triangle sums that ``dalembert.nonlinear_integral``
+    replaced; the row-blocked kernel must reproduce them bit for bit.
+    """
+    K = levels.shape[0] - 1
+    n_nodes = levels.shape[1]
+    out = np.zeros_like(levels)
+    if nl.source_sign == 0.0 or K == 0:
+        return out
+    g = nl.power_term(levels)
+    gbar = 0.5 * (g[:-1] + g[1:])                      # half-level averages
+    C = np.zeros((K, n_nodes + 1))
+    np.cumsum(gbar, axis=1, out=C[:, 1:])
+    scale = 0.5 * nl.source_sign * dx * dx
+    for k in range(1, K + 1):
+        acc = _window_sums(C[k - 1], 0, n_nodes)
+        for l in range(0, k - 1):
+            acc += _window_sums(C[l], k - l - 1, n_nodes)
+        out[k] = scale * acc
+    return out
+
+
+def with_row_by_row_integral(fn, *args, **kwargs):
+    """Call ``fn`` (``picard_fixed_point`` or another oracle entry point) on
+    ``row_by_row_nonlinear_integral``."""
+    with mock.patch.object(dalembert, "nonlinear_integral", row_by_row_nonlinear_integral):
+        return fn(*args, **kwargs)

@@ -17,6 +17,10 @@ cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
 a blow-up, dense trajectories and zero data.  Two more set every ``init.*``
 key that an analytic kind reads, which pins the key-to-field mapping of the
 config's initial-data builder.
+
+No CLI run reaches the Picard oracle, so the last lines digest it directly:
+``picard_fixed_point``'s levels and iteration count, and the u and v of a
+two-window ``evolve_by_dalembert``, each at one small fixed config.
 """
 from __future__ import annotations
 
@@ -24,6 +28,8 @@ import hashlib
 import tempfile
 from pathlib import Path
 
+from wavelab1d import (GridSpec, InitialData, Nonlinearity, evolve_by_dalembert,
+                       picard_fixed_point)
 from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
 from wavelab1d.manifest import MANIFEST_NAME
@@ -61,7 +67,26 @@ def digests(root: Path):
                 yield f"{digest}  {label}/{path.name}"
 
 
+def oracle_digests():
+    """Yield the printed lines for the Picard oracle at its fixed configs."""
+    grid = GridSpec(-8.0, 8.0, 1600)           # dx = 0.01
+    nl = Nonlinearity(p=3.0)
+    label = "picard_fixed_point[gaussian amplitude=0.5 velocity_fraction=0.3 T=0.25]"
+    res = picard_fixed_point(InitialData.gaussian(amplitude=0.5, velocity_fraction=0.3),
+                             grid, nl, 0.25)
+    digest = hashlib.sha256(res.levels.tobytes() + str(res.iterations).encode())
+    yield f"{digest.hexdigest()}  {label}/levels+iterations"
+    # two windows: the bound fails on [0, 0.5] and holds on [0, 0.25]
+    label = "evolve_by_dalembert[gaussian amplitude=1 T=0.5]"
+    state = evolve_by_dalembert(InitialData.gaussian(amplitude=1.0), grid, nl, 0.5)
+    for name in ("u", "v"):
+        digest = hashlib.sha256(getattr(state, name).tobytes()).hexdigest()
+        yield f"{digest}  {label}/{name}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for line in digests(Path(tmp)):
             print(line, flush=True)
+    for line in oracle_digests():
+        print(line, flush=True)
