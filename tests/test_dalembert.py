@@ -108,7 +108,7 @@ def _same_bits_as_row_by_row(levels, nl, dx=0.01):
 @given(data=st.data(), K=st.integers(0, 3 * _ROW_BLOCK), n=st.integers(1, 40),
        p=st.sampled_from(POWERS), sign=st.sampled_from(SIGNS))
 def test_blocked_triangle_sums_match_row_by_row(data, K, n, p, sign):
-    # n < 2(K-1) takes the clipped-window branch; +0.0 and -0.0 anywhere
+    # n <= 2(K-1) takes the clipped-window branch; +0.0 and -0.0 anywhere
     samples = st.sampled_from([0.0, -0.0]) | st.floats(-3.0, 3.0)
     levels = data.draw(hnp.arrays(np.float64, (K + 1, n), elements=samples))
     _same_bits_as_row_by_row(levels, Nonlinearity(p=p, sign=sign))
@@ -142,20 +142,21 @@ def test_picard_fixed_point_matches_row_by_row(nl, T):
 
 
 def test_windowed_oracle_never_leaves_a_one_step_window():
+    # one step left over has no velocity to restart from
     g = GridSpec(-3.0, 3.0, 600)
-    # three steps do not contract and two plus one has no velocity to restart from
+    # three steps do not contract, and no other split of three exists
     with pytest.raises(NoContraction):
         evolve_by_dalembert(InitialData.gaussian(amplitude=13.0), g, P3, 3 * g.dx)
     # halving leaves three steps that do not contract; an earlier window is
-    # shortened instead of leaving one step
-    st = evolve_by_dalembert(InitialData.gaussian(amplitude=17.0), g, P3, 18 * g.dx)
-    assert st.t == 18 * g.dx
-    assert np.isfinite(st.u).all() and np.isfinite(st.v).all()
+    # shortened instead
+    state = evolve_by_dalembert(InitialData.gaussian(amplitude=17.0), g, P3, 18 * g.dx)
+    assert state.t == 18 * g.dx
     for K in range(3, 25):
         for amplitude in range(12, 20):
             init = InitialData.gaussian(amplitude=float(amplitude))
             try:
-                st = evolve_by_dalembert(init, g, P3, K * g.dx)
+                state = evolve_by_dalembert(init, g, P3, K * g.dx)
             except NoContraction:
                 continue
-            assert st.t == K * g.dx
+            assert state.t == K * g.dx
+            assert np.isfinite(state.u).all() and np.isfinite(state.v).all()
