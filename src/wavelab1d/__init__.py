@@ -13,7 +13,7 @@ from .errors import (BlowUpDetected, DomainTooSmall, EvennessViolated,
                      ToleranceNotMet, ValidationError, WaveLabError)
 from .grid import (FieldState, GridSpec, InitialData, Nonlinearity,
                    sample_derivatives)
-from .solver import Observer, Trajectory, evolve, first_step
+from .solver import Observer, Trajectory, evolve
 from .dalembert import dalembert_oracle, evolve_by_dalembert, picard_fixed_point
 from .energy import (EnergyDensities, compute_densities, cone_energy,
                      conserved_pair, interval_energy, light_cone_energy,

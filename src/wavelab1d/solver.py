@@ -41,6 +41,30 @@ outside its support, and the full-grid update turns those nodes into +0.0,
 a difference CSV output shows.  NaN samples fall inside the window too, so
 the blow-up guard still sees them.
 
+The loop steps [lo, hi) rounded out to whole 64-byte cache lines (8
+doubles), clamped to the interior, on buffers that start on a cache line.
+A numpy ufunc writing to a separate output runs about twice as fast when
+that output starts on a line, and [lo, hi) moves by one node per step.  The
+extra nodes lie outside [lo, hi), so they hold +0.0 at levels m and m - 1
+and read only +0.0 neighbours; the update turns them into +0.0 again, as
+above, and the emitted bits are those of the full-grid update.
+
+The guard (|u| below it at every level) is checked exactly at levels 0 and
+1.  After that the loop carries bounds S on sup|u| at levels m - 1 and m
+and propagates
+
+    S[m+1] = (1 + 1e-12) (L S[m] + S[m-1] + |dt^2 sign| S[m]^p) + 1e-300,
+
+with L = 2 cfl^2 + |2 - 2 cfl^2| the stencil's sum of coefficients.  The
+factor covers the rounding of the update's few operations and of pow, the
+1e-300 the absolute error of subnormal results (notes/decisions.md).  A
+level whose bound is below the guard cannot trip it, so it is not
+checked.  A bound that is not below the guard (inf on overflow) forces an
+exact check of level m+1, which raises at the same step with the same sup
+as a check at every level would, and of level m, so the bound restarts
+from two exact sups.  Level m is emitted only after level m+1 passed, as
+before.
+
 Evolutions are strictly sequential in time; emitted FieldState snapshots are
 immutable and safe to share across threads.  Independent evolutions share no
 mutable state.
@@ -139,19 +163,11 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
     return _march(init, grid, nl, n_steps, schedule, guard, _level_sink)
 
 
-def first_step(init: InitialData, grid: GridSpec, nl: Nonlinearity) -> FieldState:
-    """State after one time step: the single step of ``evolve``.
-
-    Unlike ``evolve`` it skips the domain check, so the data may fill the
-    whole grid.
-    """
-    return _march(init, grid, nl, 1, {}, DEFAULT_BLOWUP_GUARD, None)
-
-
 def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
-    """The leapfrog loop shared by ``evolve`` and ``first_step``.
+    """The leapfrog loop of ``evolve``.
 
-    Steps only the window [lo, hi) described in the module docstring.
+    Steps the cache-line-rounded window and checks the guard only where the
+    sup bound reaches it, as the module docstring describes.
     """
     dt = grid.dt
     u0, u1 = init.sample(grid)
@@ -164,48 +180,62 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
             level_sink(step, state)
         return state
 
-    _guard_check(u0, 0.0, guard, np.empty_like(u0))
+    s_prev = _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
     wants0 = 0 in schedule or level_sink is not None or n_steps == 0
     state0 = emit(0, u0, u1) if wants0 else None
     if n_steps == 0:
         return state0
 
-    u_prev = u0.copy()
-    u_cur = _start_level(u0, u1, init, grid, nl)
+    n_nodes = grid.n_nodes
+    u_prev, u_cur, u_next, work, tmp, v_buf = (_aligned_zeros(n_nodes) for _ in range(6))
+    u_prev[:] = u0
+    u_cur[:] = _start_level(u0, u1, init, grid, nl)
 
     c2 = grid.cfl * grid.cfl
     dt2s = grid.dt * grid.dt * nl.source_sign
-    n_nodes = grid.n_nodes
-    u_next = np.zeros(n_nodes)
-    work = np.zeros(n_nodes)
-    pw = np.zeros(n_nodes) if dt2s != 0.0 else None
-    v_buf = np.empty(n_nodes)
     final_state = None
 
-    # [lo, hi) holds every node whose bits may be nonzero at level m or m - 1
+    # [lo, hi) holds every node whose bits may be nonzero at level m or m - 1;
+    # [a, b) is the stepped window, [lo, hi) rounded out to whole cache lines
     live = np.flatnonzero((u_prev.view(np.int64) != 0) | (u_cur.view(np.int64) != 0))
     lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (1, 1)
-    _guard_check(u_cur[lo:hi], dt, guard, work[lo:hi])
+    a, b = lo, hi
+    # s_prev, s_cur bound sup|u| at levels m - 1 and m
+    s_cur = _guard_check(u_cur[a:b], dt, guard, work[a:b])
+    k = 2.0 - 2.0 * c2
+    lip = 2.0 * c2 + abs(k)
+    abs_dt2s = abs(dt2s)
+    p = nl.p
 
     for m in range(1, n_steps + 1):
         if lo < hi:
             lo, hi = max(lo - 1, 1), min(hi + 1, n_nodes - 1)
-        w = slice(lo, hi)
+            a, b = max(lo - lo % 8, 1), min(hi - hi % -8, n_nodes - 1)
+        w = slice(a, b)
         # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1);
         # neighbours are summed first so mirror-symmetric data stay bit-even
-        np.add(u_cur[lo + 1:hi + 1], u_cur[lo - 1:hi - 1], out=work[w])
+        np.add(u_cur[a + 1:b + 1], u_cur[a - 1:b - 1], out=work[w])
         if c2 != 1.0:
             work[w] *= c2
-            work[w] += (2.0 - 2.0 * c2) * u_cur[w]
+            np.multiply(u_cur[w], k, out=tmp[w])
+            work[w] += tmp[w]
         if dt2s != 0.0:
-            nl.power_term(u_cur[w], out=pw[w])
-            pw[w] *= dt2s
-            work[w] += pw[w]
+            nl.power_term(u_cur[w], out=tmp[w])
+            tmp[w] *= dt2s
+            work[w] += tmp[w]
         np.subtract(work[w], u_prev[w], out=u_next[w])
         u_next[0] = 0.0
         u_next[-1] = 0.0
-        _guard_check(u_next[w], (m + 1) * dt, guard, work[w])
+        try:
+            bound = (1.0 + 1e-12) * (lip * s_cur + s_prev + abs_dt2s * s_cur ** p) + 1e-300
+        except OverflowError:
+            bound = math.inf
+        if bound < guard:
+            s_prev, s_cur = s_cur, bound
+        else:
+            s_next = _guard_check(u_next[w], (m + 1) * dt, guard, work[w])
+            s_prev, s_cur = _guard_check(u_cur[w], m * dt, guard, work[w]), s_next
 
         if m in schedule or m == n_steps or level_sink is not None:
             np.subtract(u_next, u_prev, out=v_buf)
@@ -219,13 +249,22 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
     return final_state
 
 
+def _aligned_zeros(n):
+    """n float64 +0.0 values starting on a 64-byte cache line."""
+    raw = np.zeros(n + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start:start + n]
+
+
 def _guard_check(u, t, guard, scratch):
+    """sup |u|; raises BlowUpDetected(t, sup) unless it is below the guard."""
     if not u.size:
-        return
+        return 0.0
     np.abs(u, out=scratch)
-    sup = scratch.max()
+    sup = float(scratch.max())
     if not (sup < guard):
-        raise BlowUpDetected(t, float(sup))
+        raise BlowUpDetected(t, sup)
+    return sup
 
 
 class Trajectory:

@@ -1,12 +1,15 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from wavelab1d import solver
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
-                       Nonlinearity, Observer, Trajectory, ValidationError, evolve,
-                       first_step)
+                       Nonlinearity, Observer, Trajectory, ValidationError, evolve)
 from wavelab1d.energy import norms
-from tests_support import level_bytes, with_full_grid
+from tests_support import first_step, level_bytes, with_full_grid
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -158,6 +161,97 @@ def test_windowed_evolve_matches_full_grid_on_sparse_data(data, cfl, p, sign, n_
         guard = max(guard_frac * later, np.nextafter(sup0, np.inf))
     assert level_bytes(evolve, *args, guard=guard) == \
         with_full_grid(level_bytes, evolve, *args, guard=guard)
+
+
+def march(init, grid, nl, n_steps, guard=solver.DEFAULT_BLOWUP_GUARD, _level_sink=None):
+    """``n_steps`` of ``solver._march`` (the full-grid loop under ``with_full_grid``)."""
+    return solver._march(init, grid, nl, n_steps, {}, guard, _level_sink)
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
+@pytest.mark.parametrize("p", [3.0, 2.5])
+def test_aligned_window_clamps_at_both_grid_edges(cfl, p):
+    # data on nodes 1 and n - 2, so the window rounded out to cache lines is
+    # cut back to [1, n - 1) on both sides from the first step
+    for n_cells in range(8, 20):
+        g = GridSpec(-1.0, 1.0, n_cells, cfl=cfl)
+        n = g.n_nodes
+        u = np.zeros(n)
+        v = np.zeros(n)
+        u[[1, n - 2]] = [0.7, -1.3]
+        v[[1, n - 2]] = [-0.4, 0.9]
+        init = InitialData.explicit(u, v)
+        for sign in ("defocusing", "focusing", "disabled"):
+            args = (init, g, Nonlinearity(p=p, sign=sign), 3 * n)
+            assert level_bytes(march, *args) == \
+                with_full_grid(level_bytes, march, *args), (n_cells, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), cfl=st.floats(0.3, 1.0), p=st.floats(1.1, 5.0),
+       n_steps=st.integers(12, 60))
+def test_guard_bound_skips_checks_and_trips_mid_block_like_full_grid(data, cfl, p,
+                                                                      n_steps):
+    # focusing data that grow; the guard sits just below the sup of a level
+    # k >= 12 that exceeds every earlier sup, so both loops trip at level k
+    g = GridSpec(-40.0, 40.0, 200, cfl=cfl)
+    n = g.n_nodes
+    u = np.zeros(n)
+    v = np.zeros(n)
+    for arr in (u, v):
+        for j in data.draw(st.lists(st.integers(90, 110), max_size=6)):
+            arr[j] = data.draw(st.floats(-3.0, 3.0))
+    init = InitialData.explicit(u, v)
+    nl = Nonlinearity(p=p, sign="focusing")
+    t_end = n_steps * g.dt
+    sups = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            with_full_grid(evolve, init, g, nl, t_end, guard=math.inf,
+                           _level_sink=lambda step, s: sups.append(np.abs(s.u).max()))
+        except BlowUpDetected:
+            pass
+    # a guard this far above levels 0 and 1 leaves level 2 unchecked
+    trips = [k for k in range(12, len(sups))
+             if sups[k] > max(sups[:k]) and sups[k] >= 1e6 * max(sups[:2])]
+    assume(trips)
+    k = data.draw(st.sampled_from(trips))
+    guard = np.nextafter(sups[k], 0.0)
+
+    checked = []
+
+    def counting_check(u_arr, t, guard, scratch):
+        checked.append(round(t / g.dt))
+        return guard_check(u_arr, t, guard, scratch)
+
+    guard_check = solver._guard_check
+    with mock.patch.object(solver, "_guard_check", counting_check):
+        got = level_bytes(evolve, init, g, nl, t_end, guard=guard)
+    assert got == with_full_grid(level_bytes, evolve, init, g, nl, t_end, guard=guard)
+    assert got[:2] == ("blowup", k * g.dt)
+    assert max(checked) == k and 2 not in checked
+    assert len(set(checked)) < k + 1
+
+
+@pytest.mark.parametrize("guard", [math.inf, 1e300])
+def test_huge_guards_follow_the_full_grid_loop(guard):
+    # the sup bound overflows (float ** float raises OverflowError) before the
+    # levels do; the exact checks it forces trip at the full grid's level
+    g = GridSpec(-24.0, 24.0, 480)
+    init = InitialData.polynomial_bump(amplitude=6.0, radius=1.0, power=2)
+    nl = Nonlinearity(p=3.0, sign="focusing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = level_bytes(evolve, init, g, nl, 20.0, guard=guard)
+        assert got == with_full_grid(level_bytes, evolve, init, g, nl, 20.0, guard=guard)
+    assert got[0] == "blowup" and 0.0 < got[1] < 20.0
+
+    zeros = np.zeros(g.n_nodes)
+    bad = zeros.copy()
+    bad[240] = np.nan
+    for u, v, t in ((bad, zeros, 0.0), (zeros, bad, g.dt)):
+        with pytest.raises(BlowUpDetected) as info:
+            evolve(InitialData.explicit(u, v), g, nl, 1.0, guard=guard)
+        assert info.value.t == t and math.isnan(info.value.sup_value)
 
 
 @pytest.mark.parametrize("cfl", [1.0, 0.5])

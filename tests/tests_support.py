@@ -81,6 +81,11 @@ def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> Fie
     return final_state
 
 
+def first_step(init, grid, nl) -> FieldState:
+    """State after one step of ``solver._march``, without ``evolve``'s domain check."""
+    return solver._march(init, grid, nl, 1, {}, solver.DEFAULT_BLOWUP_GUARD, None)
+
+
 def with_full_grid(fn, *args, **kwargs):
     """Call ``fn`` (``evolve`` or ``first_step``) on ``full_grid_march``."""
     with mock.patch.object(solver, "_march", full_grid_march):

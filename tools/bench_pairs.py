@@ -19,8 +19,15 @@ of the parent's ``BENCHMARK.json``.  Both trees must hold the same
 output holds, per workload and side, every run's end-to-end metrics with
 their median and quartiles, ops attempted and failed and the digest status;
 per workload, the number of pairs the change won on each metric (ties count
-for neither side); and the environment the runs reported.  It reads what ``benchmarks/run.py`` prints and the result
-file it writes, and imports nothing from either tree.
+for neither side); and the environment the runs reported.  It reads what
+``benchmarks/run.py`` prints and the result file it writes, and imports
+nothing from either tree.
+
+The pairs of one workload take the better part of twenty minutes, and the
+speed of a shared host can drift within that.  So each side and metric also
+records ``first5_median`` and ``last5_median``, the medians of its first and
+of its last five successful runs.  Drift moves both sides' halves the same
+way; a change moves the change's halves away from the parent's in both.
 """
 from __future__ import annotations
 
@@ -52,7 +59,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def spread(values: list) -> dict:
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+    half = PAIRS // 2
+    return {"median": statistics.median(values), "q1": q1, "q3": q3,
+            "first5_median": statistics.median(values[:half]),
+            "last5_median": statistics.median(values[-half:]), "runs": values}
 
 
 def summarise(runs: list) -> dict:
