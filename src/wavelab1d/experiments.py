@@ -229,22 +229,13 @@ def run_retraction(cfg: Config) -> ExperimentReport:
 
 
 def _probe_bump(eta: float, offset: float, length: float):
-    """Smooth bump g supported in (-eta + offset, -eta + offset + length).
+    """g' of the smooth bump g supported in (-eta + offset, -eta + offset + length).
 
     g(s) = exp(-1/(1-z^2)) on |z| < 1 with z the normalized offset;
-    returns (g, g') as vectorized callables.
+    returns g' as a vectorized callable.
     """
-    s_lo = -eta + offset
-    s_c = s_lo + 0.5 * length
+    s_c = -eta + offset + 0.5 * length
     half = 0.5 * length
-
-    def g(s):
-        z = (np.asarray(s, dtype=float) - s_c) / half
-        out = np.zeros_like(z)
-        inside = np.abs(z) < 1.0 - 1e-12
-        zi = z[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - zi * zi))
-        return out
 
     def gprime(s):
         z = (np.asarray(s, dtype=float) - s_c) / half
@@ -255,7 +246,7 @@ def _probe_bump(eta: float, offset: float, length: float):
         out[inside] = np.exp(-1.0 / w) * (-2.0 * zi / (w * w)) / half
         return out
 
-    return g, gprime
+    return gprime
 
 
 def run_conjecture_probe(cfg: Config) -> ExperimentReport:
@@ -269,7 +260,7 @@ def run_conjecture_probe(cfg: Config) -> ExperimentReport:
     """
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     eta = cfg["run.eta"]
-    g, gprime = _probe_bump(eta, cfg["probe.offset"], cfg["probe.length"])
+    gprime = _probe_bump(eta, cfg["probe.offset"], cfg["probe.length"])
     x = grid.nodes
 
     def sample(state: FieldState, d, Ep, Em):

@@ -136,8 +136,8 @@ def _check_domain(init: InitialData, grid: GridSpec, n_steps: int):
 
 
 def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
-           observers: Sequence[Observer] = (), guard: float = DEFAULT_BLOWUP_GUARD,
-           _level_sink=None) -> FieldState:
+           observers: Sequence[Observer] = (),
+           guard: float = DEFAULT_BLOWUP_GUARD) -> FieldState:
     """Evolve the Cauchy problem to the first grid time >= t_end.
 
     Observers are invoked at every requested sample time.  Raises
@@ -160,10 +160,10 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
             if step > n_steps:
                 raise ValidationError("observer", f"sample time {t_req!r} beyond t_end")
             schedule.setdefault(step, []).append(obs.fn)
-    return _march(init, grid, nl, n_steps, schedule, guard, _level_sink)
+    return _march(init, grid, nl, n_steps, schedule, guard)
 
 
-def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
+def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     """The leapfrog loop of ``evolve``.
 
     Steps the cache-line-rounded window and checks the guard only where the
@@ -176,14 +176,11 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
         state = FieldState(t=step * dt, u=u_arr.copy(), v=v_arr.copy())
         for fn in schedule.get(step, ()):
             fn(state)
-        if level_sink is not None:
-            level_sink(step, state)
         return state
 
     s_prev = _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
-    wants0 = 0 in schedule or level_sink is not None or n_steps == 0
-    state0 = emit(0, u0, u1) if wants0 else None
+    state0 = emit(0, u0, u1) if 0 in schedule or n_steps == 0 else None
     if n_steps == 0:
         return state0
 
@@ -237,16 +234,21 @@ def _march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
             s_next = _guard_check(u_next[w], (m + 1) * dt, guard, work[w])
             s_prev, s_cur = _guard_check(u_cur[w], m * dt, guard, work[w]), s_next
 
-        if m in schedule or m == n_steps or level_sink is not None:
-            np.subtract(u_next, u_prev, out=v_buf)
-            v_buf /= (2.0 * dt)
-            state = emit(m, u_cur, v_buf)
+        if m in schedule or m == n_steps:
+            state = emit(m, u_cur, _velocity(u_next, u_prev, dt, out=v_buf))
             if m == n_steps:
                 final_state = state
 
         u_prev, u_cur, u_next = u_cur, u_next, u_prev
 
     return final_state
+
+
+def _velocity(u_next, u_prev, dt, out=None):
+    """(u[m+1] - u[m-1]) / (2 dt), the velocity of level m."""
+    v = np.subtract(u_next, u_prev, out=out)
+    v /= 2.0 * dt
+    return v
 
 
 def _aligned_zeros(n):
@@ -278,9 +280,9 @@ class Trajectory:
     (2, n_nodes) and holds only the two velocities the u levels cannot give:
     row 0 is level 0 (the data's u1) and row -1 is the last level (it needs
     the unstored level n_levels).  With one level both rows are u1.  Every
-    other velocity is recomputed as (u[m+1] - u[m-1]) / (2 dt) with the
-    stepper's own operations on the same operands, so ``state`` and
-    ``pointwise`` return the stepper's velocities bit for bit.
+    other velocity is recomputed from the same operands by the stepper's own
+    ``_velocity``, so ``state`` and ``pointwise`` return the stepper's
+    velocities bit for bit.
     """
 
     def __init__(self, grid: GridSpec, nl: Nonlinearity, times, u_levels, v_levels):
@@ -296,19 +298,19 @@ class Trajectory:
     def record(cls, init: InitialData, grid: GridSpec, nl: Nonlinearity,
                t_end: float, guard: float = DEFAULT_BLOWUP_GUARD) -> "Trajectory":
         n_steps = steps_for(t_end, grid.dt)
-        n_nodes = grid.n_nodes
-        u_levels = np.empty((n_steps + 1, n_nodes))
-        v_levels = np.empty((2, n_nodes))
+        times = np.arange(n_steps + 1) * grid.dt
+        u_levels = np.empty((n_steps + 1, grid.n_nodes))
+        v_levels = np.empty((2, grid.n_nodes))
 
-        def sink(step, state):
+        def store(state):
+            step = grid.step_of(state.t)
             u_levels[step] = state.u
             if step == 0:
                 v_levels[0] = state.v
             if step == n_steps:
                 v_levels[-1] = state.v
 
-        evolve(init, grid, nl, t_end, guard=guard, _level_sink=sink)
-        times = np.arange(n_steps + 1) * grid.dt
+        evolve(init, grid, nl, t_end, observers=[Observer(times, store)], guard=guard)
         return cls(grid, nl, times, u_levels, v_levels)
 
     @property
@@ -344,8 +346,7 @@ class Trajectory:
         """u_t at (levels, js): the stored end rows, else the stepper's difference."""
         last = self.n_levels - 1
         u = self.u_levels
-        v = np.subtract(u[np.minimum(levels + 1, last), js],
-                        u[np.maximum(levels - 1, 0), js])
-        v /= (2.0 * self.grid.dt)
+        v = _velocity(u[np.minimum(levels + 1, last), js], u[np.maximum(levels - 1, 0), js],
+                      self.grid.dt)
         return np.where(levels == 0, self.v_levels[0, js],
                         np.where(levels == last, self.v_levels[-1, js], v))

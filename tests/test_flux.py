@@ -76,6 +76,34 @@ def test_flux_residual_second_order(traj_coarse, traj_fine):
                 assert 3.0 <= r_c / r_f <= 5.0
 
 
+def test_self_crossing_path_rejected_on_and_off_the_lattice():
+    # one shape twice at cfl 0.9: vertices on nodes, and shifted half a cell
+    # off them; the diagonal edge crosses the last vertical edge in both
+    g = GridSpec(-2.6, 2.6, 520, cfl=0.9)
+    traj = Trajectory.record(BUMP, g, P3, 1.0)
+    for verts in ([(0.0, 0.0), (0.9, 0.9), (0.0, 0.9), (0.72, 0.18), (0.72, 0.0)],
+                  [(0.005, 0.0), (0.905, 0.9), (0.005, 0.9), (0.725, 0.18), (0.725, 0.0)]):
+        with pytest.raises(ValidationError, match="not simple"):
+            flux_loop(traj, PolygonPath(verts), "plus")
+
+
+@pytest.mark.parametrize("slope", [1, -1])
+@pytest.mark.parametrize("which", ["plus", "minus"])
+def test_interpolated_characteristics_converge_at_second_order(slope, which):
+    # at cfl 0.9 a characteristic edge meets the levels between nodes, so
+    # _gather interpolates linearly in x; the residual still falls ~4x per halving
+    init = InitialData.polynomial_bump(amplitude=0.8, radius=1.0, power=3)
+    path = parallelogram(-0.5, 0.5, 0.0, 0.36, slope)
+    residuals = []
+    for dx in (0.01, 0.005, 0.0025):
+        g = GridSpec(-1.5, 1.5, int(round(3.0 / dx)), cfl=0.9)
+        traj = Trajectory.record(init, g, P3, 0.36)
+        residuals.append(flux_loop(traj, path, which).closure_residual)
+    assert abs(residuals[0]) <= 10.0 * 0.01 ** 2
+    for coarse, fine in zip(residuals, residuals[1:]):
+        assert coarse / fine >= 3.0
+
+
 def test_example_polygon_q_decomposition(traj_fine):
     rep = flux_loop(traj_fine, example_flux_polygon(-0.8, 0.6, 0.4, 0.2), "plus")
     q = rep.q_decomposition

@@ -9,7 +9,7 @@ from wavelab1d import solver
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
                        Nonlinearity, Observer, Trajectory, ValidationError, evolve)
 from wavelab1d.energy import norms
-from tests_support import first_step, level_bytes, with_full_grid
+from tests_support import every_level, first_step, level_bytes, with_full_grid
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -163,9 +163,10 @@ def test_windowed_evolve_matches_full_grid_on_sparse_data(data, cfl, p, sign, n_
         with_full_grid(level_bytes, evolve, *args, guard=guard)
 
 
-def march(init, grid, nl, n_steps, guard=solver.DEFAULT_BLOWUP_GUARD, _level_sink=None):
-    """``n_steps`` of ``solver._march`` (the full-grid loop under ``with_full_grid``)."""
-    return solver._march(init, grid, nl, n_steps, {}, guard, _level_sink)
+def march(*args, **kwargs):
+    """``evolve`` without its domain check, so data may sit next to the boundary."""
+    with mock.patch.object(solver, "_check_domain", lambda *a: None):
+        return evolve(*args, **kwargs)
 
 
 @pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
@@ -182,7 +183,7 @@ def test_aligned_window_clamps_at_both_grid_edges(cfl, p):
         v[[1, n - 2]] = [-0.4, 0.9]
         init = InitialData.explicit(u, v)
         for sign in ("defocusing", "focusing", "disabled"):
-            args = (init, g, Nonlinearity(p=p, sign=sign), 3 * n)
+            args = (init, g, Nonlinearity(p=p, sign=sign), 3 * n * g.dt)
             assert level_bytes(march, *args) == \
                 with_full_grid(level_bytes, march, *args), (n_cells, sign)
 
@@ -208,7 +209,8 @@ def test_guard_bound_skips_checks_and_trips_mid_block_like_full_grid(data, cfl, 
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             with_full_grid(evolve, init, g, nl, t_end, guard=math.inf,
-                           _level_sink=lambda step, s: sups.append(np.abs(s.u).max()))
+                           observers=[every_level(g, t_end,
+                                                  lambda s: sups.append(np.abs(s.u).max()))])
         except BlowUpDetected:
             pass
     # a guard this far above levels 0 and 1 leaves level 2 unchecked
@@ -365,7 +367,8 @@ def test_trajectory_velocities_are_the_steppers_bits(cfl, p, t_end):
     for name in ("negative_bump", "moving_gaussian"):
         init = WINDOW_DATA[name]
         emitted = []
-        evolve(init, g, nl, t_end, _level_sink=lambda step, s: emitted.append(s.v.copy()))
+        evolve(init, g, nl, t_end,
+               observers=[every_level(g, t_end, lambda s: emitted.append(s.v))])
         traj = Trajectory.record(init, g, nl, t_end)
         assert traj.v_levels.shape == (2, g.n_nodes)
         assert traj.n_levels == len(emitted)

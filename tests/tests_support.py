@@ -15,7 +15,7 @@ def five_point_derivative(f, h):
     return (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
 
 
-def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> FieldState:
+def full_grid_march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     """The full-grid leapfrog loop that ``solver._march`` replaced.
 
     It differs from ``_march`` only in updating every interior node on every
@@ -28,14 +28,11 @@ def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> Fie
         state = FieldState(t=step * dt, u=u_arr.copy(), v=v_arr.copy())
         for fn in schedule.get(step, ()):
             fn(state)
-        if level_sink is not None:
-            level_sink(step, state)
         return state
 
     _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
-    wants0 = 0 in schedule or level_sink is not None or n_steps == 0
-    state0 = emit(0, u0, u1) if wants0 else None
+    state0 = emit(0, u0, u1) if 0 in schedule or n_steps == 0 else None
     if n_steps == 0:
         return state0
 
@@ -69,7 +66,7 @@ def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> Fie
         u_next[-1] = 0.0
         _guard_check(u_next, (m + 1) * dt, guard, work)
 
-        if m in schedule or m == n_steps or level_sink is not None:
+        if m in schedule or m == n_steps:
             np.subtract(u_next, u_prev, out=v_buf)
             v_buf /= (2.0 * dt)
             state = emit(m, u_cur, v_buf)
@@ -83,7 +80,7 @@ def full_grid_march(init, grid, nl, n_steps, schedule, guard, level_sink) -> Fie
 
 def first_step(init, grid, nl) -> FieldState:
     """State after one step of ``solver._march``, without ``evolve``'s domain check."""
-    return solver._march(init, grid, nl, 1, {}, solver.DEFAULT_BLOWUP_GUARD, None)
+    return solver._march(init, grid, nl, 1, {}, solver.DEFAULT_BLOWUP_GUARD)
 
 
 def with_full_grid(fn, *args, **kwargs):
@@ -92,20 +89,24 @@ def with_full_grid(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def level_bytes(fn, *args, **kwargs):
+def every_level(grid, t_end, fn) -> solver.Observer:
+    """An observer that calls ``fn`` at every level of an evolution to ``t_end``."""
+    return solver.Observer(np.arange(solver.steps_for(t_end, grid.dt) + 1) * grid.dt, fn)
+
+
+def level_bytes(fn, init, grid, nl, t_end, **kwargs):
     """Every level ``fn`` emits as (t, u bytes, v bytes), or the blow-up.
 
-    ``fn`` is ``evolve``-like and takes ``_level_sink``; a ``BlowUpDetected``
-    is returned as ("blowup", t, sup as hex) so two runs compare with ``==``,
-    NaN included.
+    ``fn`` is ``evolve``-like; a ``BlowUpDetected`` is returned as
+    ("blowup", t, sup as hex) so two runs compare with ``==``, NaN included.
     """
     levels = []
 
-    def sink(step, state):
+    def keep(state):
         levels.append((state.t, state.u.tobytes(), state.v.tobytes()))
 
     try:
-        final = fn(*args, _level_sink=sink, **kwargs)
+        final = fn(init, grid, nl, t_end, observers=[every_level(grid, t_end, keep)], **kwargs)
     except BlowUpDetected as exc:
         return ("blowup", exc.t, float(exc.sup_value).hex())
     return levels + [(final.t, final.u.tobytes(), final.v.tobytes())]

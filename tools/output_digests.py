@@ -14,9 +14,10 @@ run it with ``PYTHONPATH`` pointing at each tree to compare them.
 
 The non-default runs are cheap (a few seconds each) and cross the edge
 cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
-a blow-up, dense trajectories and zero data.  Two more set every ``init.*``
-key that an analytic kind reads, which pins the key-to-field mapping of the
-config's initial-data builder.
+a blow-up, dense trajectories (one at cfl 0.9, where flux loops interpolate
+between nodes) and zero data.  Two more set every ``init.*`` key that an
+analytic kind reads, which pins the key-to-field mapping of the config's
+initial-data builder.
 
 No CLI run reaches the Picard oracle, so the last lines digest it directly:
 ``picard_fixed_point``'s levels and iteration count, and the u and v of a
@@ -47,6 +48,8 @@ EXTRA_RUNS = (
     ("simulate", ("init.kind=polynomial_bump", "init.radius=0.75", "init.power=3",
                   "init.center=0.5", "init.velocity_fraction=0.25", "run.t_end=2")),
     ("simulate", ("init.width=0.5", "init.center=-0.5", "run.t_end=2")),
+    # a dense trajectory interpolated off the cfl = 1 lattice
+    ("flux-check", ("grid.cfl=0.9", "flux.h=0.45")),
 )
 
 
