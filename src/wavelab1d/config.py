@@ -15,138 +15,97 @@ from dataclasses import dataclass
 from .errors import ParseError, ValidationError
 from .grid import GridSpec, InitialData, Nonlinearity
 
-_FLOAT, _INT, _STR, _BOOL, _LIST = "float", "int", "str", "bool", "float_list"
+# Each key's default states its type: float, int, bool, str or a tuple of
+# floats.  A bare type marks a value computed during resolution.
+_NL = {"nl.p": 3.0, "nl.sign": "defocusing"}
 
-
-@dataclass(frozen=True)
-class KeySpec:
-    vtype: str
-    default: object  # None marks a value computed during resolution
-
-
-_NL = {
-    "nl.p": KeySpec(_FLOAT, 3.0),
-    "nl.sign": KeySpec(_STR, "defocusing"),
-}
-
-_GRID = {
-    "grid.x_min": KeySpec(_FLOAT, None),
-    "grid.x_max": KeySpec(_FLOAT, None),
-    "grid.dx": KeySpec(_FLOAT, 2e-3),
-    "grid.cfl": KeySpec(_FLOAT, 1.0),
-}
+_GRID = {"grid.x_min": float, "grid.x_max": float, "grid.dx": 2e-3, "grid.cfl": 1.0}
 
 _INIT = {
-    "init.kind": KeySpec(_STR, "gaussian"),
-    "init.amplitude": KeySpec(_FLOAT, 1.0),
-    "init.center": KeySpec(_FLOAT, 0.0),
-    "init.width": KeySpec(_FLOAT, 1.0),
-    "init.radius": KeySpec(_FLOAT, 1.0),
-    "init.power": KeySpec(_INT, 2),
-    "init.velocity_fraction": KeySpec(_FLOAT, 0.0),
-    "init.mirror": KeySpec(_BOOL, False),
-}
-
-_RUN_COMMON = {
-    "run.t_end": KeySpec(_FLOAT, 5.0),
-    "run.sample_every": KeySpec(_FLOAT, 1.0),
-    "run.t_samples": KeySpec(_LIST, None),
-    "run.guard": KeySpec(_FLOAT, 1e8),
-    "thresholds.conservation_tol": KeySpec(_FLOAT, 0.01),
+    "init.kind": "gaussian",
+    "init.amplitude": 1.0,
+    "init.center": 0.0,
+    "init.width": 1.0,
+    "init.radius": 1.0,
+    "init.power": 2,
+    "init.velocity_fraction": 0.0,
+    "init.mirror": False,
 }
 
 
-def _run(t_end, sample_every, extra=None):
-    base = dict(_RUN_COMMON)
-    base["run.t_end"] = KeySpec(_FLOAT, t_end)
-    base["run.sample_every"] = KeySpec(_FLOAT, sample_every)
-    if extra:
-        base.update(extra)
-    return base
+def _run(t_end, sample_every, extra):
+    return {"run.t_end": t_end, "run.sample_every": sample_every, "run.t_samples": tuple,
+            "run.guard": 1e8, "thresholds.conservation_tol": 0.01, **extra}
 
 
-def _with_defaults(group: dict, **over) -> dict:
-    out = dict(group)
-    for key, value in over.items():
-        out[key] = KeySpec(out[key].vtype, value)
-    return out
-
-
-SCHEMAS: dict[str, dict[str, KeySpec]] = {
-    "simulate": {**_NL, **_GRID, **_INIT, **_run(5.0, 1.0, {
-        "run.eta": KeySpec(_FLOAT, 1.0),
-    })},
+SCHEMAS: dict[str, dict[str, object]] = {
+    "simulate": {**_NL, **_GRID, **_INIT, **_run(5.0, 1.0, {"run.eta": 1.0})},
     "decay": {**_NL, **_GRID, **_INIT, **_run(60.0, 5.0, {
-        "run.c": KeySpec(_FLOAT, 0.5),
-        "thresholds.energy_ratio": KeySpec(_FLOAT, 0.1),
-        "thresholds.norm_ratio": KeySpec(_FLOAT, 0.2),
+        "run.c": 0.5,
+        "thresholds.energy_ratio": 0.1,
+        "thresholds.norm_ratio": 0.2,
     })},
     "tail": {**_NL, **_GRID, **_INIT, **_run(30.0, 5.0, {
-        "run.R": KeySpec(_FLOAT, 0.0),
-        "run.margin_cells": KeySpec(_INT, 3),
+        "run.R": 0.0,
+        "run.margin_cells": 3,
     })},
     "retraction": {**_NL, **_GRID, **_INIT, **_run(40.0, 2.0, {
-        "run.eta": KeySpec(_FLOAT, 2.0),
-        "thresholds.retraction_floor": KeySpec(_FLOAT, 0.01),
-        "thresholds.monotonicity_tol": KeySpec(_FLOAT, 1e-8),
+        "run.eta": 2.0,
+        "thresholds.retraction_floor": 0.01,
+        "thresholds.monotonicity_tol": 1e-8,
     })},
     "conjecture": {**_NL, **_GRID, **_INIT, **_run(40.0, 5.0, {
-        "run.eta": KeySpec(_FLOAT, 1.0),
-        "probe.offset": KeySpec(_FLOAT, 0.5),
-        "probe.length": KeySpec(_FLOAT, 2.0),
-        "thresholds.retraction_ratio": KeySpec(_FLOAT, 0.1),
-        "thresholds.weak_probe_ratio": KeySpec(_FLOAT, 0.2),
-        "thresholds.strong_probe_ratio": KeySpec(_FLOAT, 0.2),
-        "thresholds.monotonicity_tol": KeySpec(_FLOAT, 1e-8),
+        "run.eta": 1.0,
+        "probe.offset": 0.5,
+        "probe.length": 2.0,
+        "thresholds.retraction_ratio": 0.1,
+        "thresholds.weak_probe_ratio": 0.2,
+        "thresholds.strong_probe_ratio": 0.2,
+        "thresholds.monotonicity_tol": 1e-8,
     })},
-    "focusing": {**_with_defaults(_NL, **{"nl.sign": "focusing"}),
-                 **_GRID,
-                 **_with_defaults(_INIT, **{"init.kind": "polynomial_bump",
-                                            "init.amplitude": 6.0}),
-                 **_run(20.0, 0.05, {
-                     "thresholds.norm_blowup": KeySpec(_FLOAT, 1e6),
-                 })},
+    "focusing": {**_NL, "nl.sign": "focusing", **_GRID,
+                 **_INIT, "init.kind": "polynomial_bump", "init.amplitude": 6.0,
+                 **_run(20.0, 0.05, {"thresholds.norm_blowup": 1e6})},
     "concentration": {**_NL, **_GRID,
-                      **_with_defaults(_INIT, **{"init.kind": "polynomial_bump",
-                                                 "init.center": 3.0,
-                                                 "init.mirror": True}),
+                      **_INIT, "init.kind": "polynomial_bump", "init.center": 3.0,
+                      "init.mirror": True,
                       **_run(50.0, 5.0, {
-                          "run.q_baseline_time": KeySpec(_FLOAT, 5.0),
-                          "thresholds.q_floor_ratio": KeySpec(_FLOAT, 0.2),
-                          "thresholds.evenness_tol": KeySpec(_FLOAT, 1e-10),
+                          "run.q_baseline_time": 5.0,
+                          "thresholds.q_floor_ratio": 0.2,
+                          "thresholds.evenness_tol": 1e-10,
                       })},
-    "flux-check": {**_NL, **_GRID, **_INIT, **{
-        "flux.a": KeySpec(_FLOAT, -1.0),
-        "flux.b": KeySpec(_FLOAT, 1.0),
-        "flux.h": KeySpec(_FLOAT, 0.5),
-        "flux.t0": KeySpec(_FLOAT, 0.0),
-        "flux.which": KeySpec(_STR, "plus"),
-        "thresholds.flux_residual": KeySpec(_FLOAT, 1e-4),
-        "run.guard": KeySpec(_FLOAT, 1e8),
-    }},
-    "trapezoid": {**_NL, **_GRID, **_INIT, **{
-        "trapezoid.eta": KeySpec(_FLOAT, 0.0),
-        "trapezoid.t1": KeySpec(_FLOAT, 0.0),
-        "trapezoid.t2": KeySpec(_FLOAT, 1.0),
-        "trapezoid.which": KeySpec(_STR, "plus"),
-        "thresholds.trapezoid_residual": KeySpec(_FLOAT, 1e-4),
-        "run.guard": KeySpec(_FLOAT, 1e8),
-    }},
+    "flux-check": {
+        **_NL, **_GRID, **_INIT,
+        "flux.a": -1.0,
+        "flux.b": 1.0,
+        "flux.h": 0.5,
+        "flux.t0": 0.0,
+        "flux.which": "plus",
+        "thresholds.flux_residual": 1e-4,
+        "run.guard": 1e8,
+    },
+    "trapezoid": {
+        **_NL, **_GRID, **_INIT,
+        "trapezoid.eta": 0.0,
+        "trapezoid.t1": 0.0,
+        "trapezoid.t2": 1.0,
+        "trapezoid.which": "plus",
+        "thresholds.trapezoid_residual": 1e-4,
+        "run.guard": 1e8,
+    },
     "selfsimilar": {
-        "ode.p": KeySpec(_FLOAT, 3.0),
-        "ode.a": KeySpec(_FLOAT, 1.0),
-        "ode.b": KeySpec(_FLOAT, 0.0),
-        "ode.delta": KeySpec(_FLOAT, 1e-4),
-        "ode.tol": KeySpec(_FLOAT, 1e-10),
-        "ode.samples": KeySpec(_INT, 4001),
-        "ray.R": KeySpec(_FLOAT, 1.0),
-        "ray.R1": KeySpec(_FLOAT, 2.0),
-        "ray.t_list": KeySpec(_LIST, (10.0, 20.0, 40.0, 80.0)),
-        "thresholds.semi_energy_mono": KeySpec(_FLOAT, 1e-8),
+        "ode.p": 3.0,
+        "ode.a": 1.0,
+        "ode.b": 0.0,
+        "ode.delta": 1e-4,
+        "ode.tol": 1e-10,
+        "ode.samples": 4001,
+        "ray.R": 1.0,
+        "ray.R1": 2.0,
+        "ray.t_list": (10.0, 20.0, 40.0, 80.0),
+        "thresholds.semi_energy_mono": 1e-8,
     },
-    "cp-table": {
-        "cp.p_values": KeySpec(_LIST, (2.0, 3.0, 5.0)),
-    },
+    "cp-table": {"cp.p_values": (2.0, 3.0, 5.0)},
 }
 
 SUBCOMMANDS = tuple(SCHEMAS)
@@ -179,23 +138,24 @@ def _finite(key: str, value: float) -> float:
     return value
 
 
-def _convert(key: str, spec: KeySpec, text: str):
+def _convert(key: str, default, text: str):
+    vtype = default if isinstance(default, type) else type(default)
     try:
-        if spec.vtype == _FLOAT:
+        if vtype is float:
             return _finite(key, float(text))
-        if spec.vtype == _INT:
+        if vtype is int:
             return int(text)
-        if spec.vtype == _BOOL:
+        if vtype is bool:
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(text)
-        if spec.vtype == _LIST:
+        if vtype is tuple:
             return tuple(_finite(key, float(tok)) for tok in text.split(",") if tok.strip())
         return text
     except ValueError:
-        raise ValidationError(key, f"cannot parse {text!r} as {spec.vtype}")
+        raise ValidationError(key, f"cannot parse {text!r} as {vtype.__name__}")
 
 
 @dataclass(frozen=True)
@@ -274,8 +234,8 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
         if key not in schema:
             raise ValidationError(key, f"unknown key for {subcommand!r}")
         values[key] = _convert(key, schema[key], text)
-    for key, spec in schema.items():
-        values.setdefault(key, spec.default)
+    for key, default in schema.items():
+        values.setdefault(key, None if isinstance(default, type) else default)
 
     _resolve_derived(subcommand, values)
     cfg = Config(subcommand=subcommand, values=tuple(sorted(values.items())))
@@ -303,7 +263,10 @@ def _resolve_derived(subcommand: str, values: dict):
         dx = values["grid.dx"]
         if not (isinstance(dx, float) and dx > 0.0):
             raise ValidationError("grid.dx", "dx must be a positive number")
-        if values["grid.x_min"] is None or values["grid.x_max"] is None:
+        unset = [k for k in ("grid.x_min", "grid.x_max") if values[k] is None]
+        if len(unset) == 1:
+            raise ValidationError(unset[0], "set grid.x_min and grid.x_max together")
+        if unset:
             support = _initial_data(values).support_interval()
             radius = max(abs(support[0]), abs(support[1])) if support else 1.0
             horizon = values.get("run.t_end")

@@ -6,32 +6,18 @@ so repeated runs produce byte-identical artifacts.
 """
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
 
-import numpy as np
-
-
-def format_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return str(v)
-
-
 def write_csv(path, header, rows) -> Path:
+    """Write a header line, then one line per row of float fields."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for row in rows:
-            writer.writerow([format_value(v) for v in row])
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
     return path
 
 

@@ -200,22 +200,20 @@ def _slice_state(levels, k, dx) -> FieldState:
     return FieldState(t=k * dx, u=u.copy(), v=v)
 
 
-def dalembert_oracle(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: float,
-                     tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
-                     max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FieldState:
+def dalembert_oracle(init: InitialData, grid: GridSpec, nl: Nonlinearity,
+                     T: float) -> FieldState:
     """Solution slice at time T by Picard iteration of the integral equation.
 
     Independent of the leapfrog scheme; serves as its small-time oracle.
     The returned velocity is a one-sided second-order time difference of the
     converged space-time field.
     """
-    result = picard_fixed_point(init, grid, nl, T, tol_fixed_point, max_iterations)
+    result = picard_fixed_point(init, grid, nl, T)
     return _slice_state(result.levels, result.n_levels - 1, grid.dx)
 
 
-def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: float,
-                        tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
-                        max_iterations: int = DEFAULT_MAX_ITERATIONS) -> FieldState:
+def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity,
+                        T: float) -> FieldState:
     """Oracle evolution over horizons beyond a single contraction window.
 
     Splits [0, T] into lattice-aligned windows, each satisfying the
@@ -259,7 +257,8 @@ def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: 
         if nl.source_sign == 0.0:
             U = L
         else:
-            U, _, _ = _picard_from_linear(L, nl, dx, tol_fixed_point, max_iterations)
+            U, _, _ = _picard_from_linear(L, nl, dx, DEFAULT_TOL_FIXED_POINT,
+                                          DEFAULT_MAX_ITERATIONS)
         state = _slice_state(U, K_w, dx)
         if done + K_w >= K_total:
             return FieldState(t=(done + K_w) * dx, u=state.u, v=state.v)

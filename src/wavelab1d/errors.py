@@ -8,13 +8,9 @@ class WaveLabError(Exception):
 class ValidationError(WaveLabError):
     """A parameter or configuration value violates its invariants."""
 
-    def __init__(self, field, reason=None):
-        if reason is None:
-            super().__init__(field)
-            self.field, self.reason = None, field
-        else:
-            super().__init__(f"{field}: {reason}")
-            self.field, self.reason = field, reason
+    def __init__(self, field, reason):
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
 
 
 class InvalidParams(ValidationError):

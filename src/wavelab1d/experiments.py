@@ -278,7 +278,7 @@ def run_conjecture_probe(cfg: Config) -> ExperimentReport:
         E0 = cols["E"][0]
         tol = cfg["thresholds.monotonicity_tol"] * (E0 if E0 > 0.0 else 1.0)
         monotone = all(b <= a + tol for a, b in zip(series, series[1:]))
-        base = 1 if len(cfg.t_samples()) > 2 else 0
+        base = 1 if len(cols["t"]) > 2 else 0
         weak = [abs(v) for v in cols["weak_probe"]]
         strong = cols["strong_probe"]
         weak_ok = weak[-1] <= cfg["thresholds.weak_probe_ratio"] * weak[base]
@@ -412,7 +412,7 @@ def run_concentration(cfg: Config) -> ExperimentReport:
 
     def sample(state: FieldState, d, Ep, Em):
         q = interaction_q(d, grid, "prefix_sum").q_value
-        if state.t == t_base and not spot:
+        if state.t == t_base:
             brute = interaction_q(d, grid, "brute_force").q_value
             spot["q_method_gap"] = abs(brute - q) / (abs(brute) or 1.0)
         scale = float(np.max(np.abs(state.u))) or 1.0

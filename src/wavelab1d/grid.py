@@ -122,19 +122,19 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return self._nodes
 
-    def index_of(self, x: float, tol: float = 1e-6) -> int:
+    def index_of(self, x: float) -> int:
         """Node index of a lattice-aligned position; raises if off-lattice."""
         jf = (x - self.x_min) / self.dx
         j = int(round(jf))
-        if abs(jf - j) > tol or not 0 <= j <= self.n_cells:
+        if abs(jf - j) > 1e-6 or not 0 <= j <= self.n_cells:
             raise ValidationError("position", f"x={x!r} is not a grid node")
         return j
 
-    def step_of(self, t: float, tol: float = 1e-6) -> int:
+    def step_of(self, t: float) -> int:
         """Time-step index of a lattice-aligned time; raises if off-lattice."""
         mf = t / self.dt
         m = int(round(mf))
-        if abs(mf - m) > tol or m < 0:
+        if abs(mf - m) > 1e-6 or m < 0:
             raise ValidationError("time", f"t={t!r} is not a lattice time")
         return m
 
@@ -253,58 +253,53 @@ class InitialData:
             return self.radius if self.amplitude != 0.0 else 0.0
         raise ValidationError("init.kind", f"{self.kind} has no truncation radius")
 
-    def _base_u0(self, x):
+    def _base(self, x, derivative):
+        """The unmirrored profile b(x), or b'(x) when ``derivative``."""
         x = np.asarray(x, dtype=float)
         if self.kind == "gaussian":
             if abs(self.amplitude) <= SUPPORT_TRUNCATION:
                 return np.zeros_like(x)
             z = (x - self.center) / self.width
             out = self.amplitude * np.exp(-z * z)
+            if derivative:
+                out = out * (-2.0 * z / self.width)
             out[np.abs(x - self.center) > self._truncation_radius()] = 0.0
             return out
         if self.kind == "polynomial_bump":
             z = (x - self.center) / self.radius
             body = 1.0 - z * z
-            np.clip(body, 0.0, None, out=body)
-            return self.amplitude * body ** self.power
-        raise ValidationError("init.kind", "explicit_samples has no closed form")
-
-    def _base_u0_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "gaussian":
-            if abs(self.amplitude) <= SUPPORT_TRUNCATION:
-                return np.zeros_like(x)
-            z = (x - self.center) / self.width
-            out = self.amplitude * np.exp(-z * z) * (-2.0 * z / self.width)
-            out[np.abs(x - self.center) > self._truncation_radius()] = 0.0
-            return out
-        if self.kind == "polynomial_bump":
-            z = (x - self.center) / self.radius
-            body = 1.0 - z * z
+            if not derivative:
+                np.clip(body, 0.0, None, out=body)
+                return self.amplitude * body ** self.power
             inside = body > 0.0
             out = np.zeros_like(x)
             out[inside] = (self.amplitude * self.power
                            * body[inside] ** (self.power - 1)
                            * (-2.0 * z[inside] / self.radius))
             return out
-        raise ValidationError("init.kind", f"{self.kind} has no u0' closed form")
+        raise ValidationError("init.kind", f"{self.kind} has no closed form")
+
+    def _mirrored(self, x, scale, mirror_scale, derivative=False):
+        """scale * b(x), plus mirror_scale * b(-x) when the data are mirrored.
+
+        The mirror of (u0, u1)(x) is (u0(-x), u1(-x)), so u0 takes
+        (1, 1), u1 = -vf * b' takes (-vf, -vf) and its antiderivative
+        -vf * b takes (-vf, vf).
+        """
+        x = np.asarray(x, dtype=float)
+        out = scale * self._base(x, derivative)
+        if self.mirror:
+            out = out + mirror_scale * self._base(-x, derivative)
+        return out
 
     def u0_at(self, x):
         """u0 evaluated at arbitrary positions (analytic kinds only)."""
-        x = np.asarray(x, dtype=float)
-        out = self._base_u0(x)
-        if self.mirror:
-            out = out + self._base_u0(-x)
-        return out
+        return self._mirrored(x, 1.0, 1.0)
 
     def u1_at(self, x):
         """u1 evaluated at arbitrary positions (analytic kinds only)."""
-        x = np.asarray(x, dtype=float)
-        out = -self.velocity_fraction * self._base_u0_prime(x)
-        if self.mirror:
-            # mirror of (u0, u1)(x) is (u0(-x), u1(-x))
-            out = out + (-self.velocity_fraction) * self._base_u0_prime(-x)
-        return out
+        vf = self.velocity_fraction
+        return self._mirrored(x, -vf, -vf, derivative=True)
 
     def u1_integral(self, x_lo, x_hi):
         """Exact integral of u1 over [x_lo, x_hi], or None if unavailable.
@@ -313,17 +308,10 @@ class InitialData:
         -vf*u0, which keeps the characteristic-aligned start of the solver
         exact on the lattice.
         """
-        if self.kind in ("gaussian", "polynomial_bump"):
-            lo = np.asarray(x_lo, dtype=float)
-            hi = np.asarray(x_hi, dtype=float)
-            f_hi = -self.velocity_fraction * self._base_u0(hi)
-            f_lo = -self.velocity_fraction * self._base_u0(lo)
-            if self.mirror:
-                # antiderivative of -vf*u0'(-x) is +vf*u0(-x)
-                f_hi = f_hi + self.velocity_fraction * self._base_u0(-hi)
-                f_lo = f_lo + self.velocity_fraction * self._base_u0(-lo)
-            return f_hi - f_lo
-        return None
+        if self.kind == "explicit_samples":
+            return None
+        vf = self.velocity_fraction
+        return self._mirrored(x_hi, -vf, vf) - self._mirrored(x_lo, -vf, vf)
 
     # -- grid sampling ---------------------------------------------------
 

@@ -350,11 +350,12 @@ def lift_field(sol: OdeSolution, params: OdeParams | None, t: float, x) -> Lifte
 
 
 def ray_energy_decay(sol: OdeSolution, params: OdeParams | None, R: float, R1: float,
-                     t_list, n_quad: int = 2001):
+                     t_list):
     """Velocity energy between the rays x = t + R and x = t + R1 per time.
 
-    Returns [(t, Int |u_t|^2 dx)] rows; entries are nonnegative and decay
-    as the window slides up the light cone.
+    Returns [(t, Int |u_t|^2 dx)] rows, each by the trapezoid rule on 2001
+    nodes; entries are nonnegative and decay as the window slides up the
+    light cone.
     """
     params = params or sol.params
     if not 0.0 < R < R1:
@@ -365,7 +366,7 @@ def ray_energy_decay(sol: OdeSolution, params: OdeParams | None, R: float, R1: f
     beta = params.beta
     rows = []
     for t in ts:
-        xs = np.linspace(t + R, t + R1, n_quad)
+        xs = np.linspace(t + R, t + R1, 2001)
         _, fp = sol.evaluate(t / xs)
         integrand = (xs ** (-beta - 1.0) * fp) ** 2
         rows.append((t, trapezoid(integrand, float(xs[1] - xs[0]))))

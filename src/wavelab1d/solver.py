@@ -87,7 +87,8 @@ DEFAULT_BLOWUP_GUARD = 1e8
 class Observer:
     """Callback invoked with the current FieldState at each requested time.
 
-    Each requested time is mapped to the first grid time at or after it.
+    Each requested time is mapped to the first grid time at or after it;
+    times that map to the same grid time invoke ``fn`` once.
     """
 
     times: Sequence[float]
@@ -152,13 +153,17 @@ def evolve(init: InitialData, grid: GridSpec, nl: Nonlinearity, t_end: float,
     n_steps = steps_for(t_end, dt)
     _check_domain(init, grid, n_steps)
 
-    # schedule[step] -> observer callbacks due at that step
+    # schedule[step] -> observer callbacks due at that step, each observer
+    # once per step even when several of its times map to that step
     schedule: dict[int, list] = {}
     for obs in observers:
+        steps = set()
         for t_req in obs.times:
             step = steps_for(t_req, dt)
             if step > n_steps:
                 raise ValidationError("observer", f"sample time {t_req!r} beyond t_end")
+            steps.add(step)
+        for step in steps:
             schedule.setdefault(step, []).append(obs.fn)
     return _march(init, grid, nl, n_steps, schedule, guard)
 

@@ -39,6 +39,19 @@ def test_simulate_zero_data(tmp_path):
     assert "diagnostics.csv" in names and "state_t0.csv" in names
 
 
+def test_sample_times_on_one_step_write_one_state_and_row(tmp_path):
+    # at dt = 0.002 the samples 0.001, 0.002 share step 1 and 0.003, 0.004 step 2
+    out = tmp_path / "sim"
+    assert run_cli(["simulate", "--out-dir", str(out), "--quiet",
+                    "--override", "run.t_end=0.004",
+                    "--override", "run.sample_every=0.001"]) == 0
+    names = [o["name"] for o in load_manifest(out / "manifest.json").outputs]
+    assert sorted(names) == sorted(set(names))
+    assert sum(name.startswith("state_t") for name in names) == 3
+    _, rows = read_csv(out / "diagnostics.csv")
+    assert len(rows) == 3 and rows[0][0] < rows[1][0] < rows[2][0]
+
+
 def test_decay_report_schema(tmp_path):
     out = tmp_path / "decay"
     code = run_cli(["decay", "--out-dir", str(out), "--quiet",

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab1d.config import SUBCOMMANDS, parse_config, parse_text, resolve
+from wavelab1d.config import SCHEMAS, SUBCOMMANDS, parse_config, parse_text, resolve
 from wavelab1d.errors import ParseError, ValidationError
 
 
@@ -99,6 +99,30 @@ def test_explicit_grid_respected():
     with pytest.raises(ValidationError):
         resolve("simulate", {"grid.x_min": "0.0", "grid.x_max": "1.0",
                              "grid.dx": "0.3"})
+
+
+@pytest.mark.parametrize("given, text, missing", [
+    ("grid.x_min", "-3", "grid.x_max"), ("grid.x_max", "3", "grid.x_min")])
+def test_one_sided_domain_override_rejected(given, text, missing):
+    with pytest.raises(ValidationError) as info:
+        resolve("simulate", {}, {given: text})
+    assert info.value.field == missing
+
+
+def test_values_take_the_type_of_their_default():
+    # a bare type marks a value resolved from the others
+    for name, schema in SCHEMAS.items():
+        cfg = resolve(name, {})
+        for key, default in schema.items():
+            want = default if isinstance(default, type) else type(default)
+            assert type(cfg[key]) is want, (name, key)
+    cfg = resolve("simulate", {}, {"init.mirror": "1", "init.power": "3"})
+    assert cfg["init.mirror"] is True
+    assert type(cfg["init.power"]) is int and cfg["init.power"] == 3
+    for key, text in (("init.power", "true"), ("init.mirror", "2"), ("grid.dx", "x")):
+        with pytest.raises(ValidationError) as info:
+            resolve("simulate", {}, {key: text})
+        assert info.value.field == key
 
 
 def test_t_samples_resolution():

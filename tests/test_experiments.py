@@ -93,6 +93,16 @@ def test_conjecture_probes():
     assert rep.gates["ray_series_retracted"] == "inconclusive"
 
 
+def test_sample_times_on_one_step_give_the_report_of_distinct_times():
+    # 4.99 and 5 map to the same step at dt = 0.05: two rows, so the probe
+    # gates compare t = 5 with t = 0, as for "0,5"
+    ov = {"grid.dx": "0.05", "run.t_end": "5"}
+    dup = run_conjecture_probe(resolve("conjecture", {}, {**ov, "run.t_samples": "0,4.99,5"}))
+    ref = run_conjecture_probe(resolve("conjecture", {}, {**ov, "run.t_samples": "0,5"}))
+    assert len(ref.columns["t"]) == 2
+    assert (dup.columns, dup.gates, dup.verdict) == (ref.columns, ref.gates, ref.verdict)
+
+
 def test_conjecture_zero_data():
     rep = run_conjecture_probe(resolve("conjecture", {}, _zero()))
     assert all(v == 0.0 for v in rep.columns["weak_probe"])

@@ -8,9 +8,12 @@ Usage (from the repository root):
 Each run goes in-process into its own directory under a temporary
 directory, which is removed afterwards.  The script prints one line per run
 with its exit status, then one ``<sha256>  <run>/<file>`` line per output
-file.  ``manifest.json`` is skipped because it records wall times.  Two
-source trees whose printouts are identical produce byte-identical outputs;
-run it with ``PYTHONPATH`` pointing at each tree to compare them.
+file.  ``manifest.json`` itself is skipped because it records wall times;
+instead one ``<sha256>  <run>/config_text`` line digests the resolved
+configuration the manifest echoes.  It pins every emitted default, also of
+the subcommands whose outputs embed no configuration.  Two source trees
+whose printouts are identical produce byte-identical outputs; run it with
+``PYTHONPATH`` pointing at each tree to compare them.
 
 The non-default runs are cheap (a few seconds each) and cross the edge
 cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
@@ -26,6 +29,7 @@ two-window ``evolve_by_dalembert``, each at one small fixed config.
 from __future__ import annotations
 
 import hashlib
+import json
 import tempfile
 from pathlib import Path
 
@@ -64,6 +68,10 @@ def digests(root: Path):
             args += ["--override", pair]
         code = main(args)
         yield f"{label}: exit {code}"
+        manifest = out_dir / MANIFEST_NAME
+        if manifest.exists():
+            config_text = json.loads(manifest.read_text())["config_text"]
+            yield f"{hashlib.sha256(config_text.encode()).hexdigest()}  {label}/config_text"
         for path in sorted(out_dir.iterdir()):
             if path.name != MANIFEST_NAME:
                 digest = hashlib.sha256(path.read_bytes()).hexdigest()
