@@ -29,7 +29,7 @@ from .grid import FieldState
 from .interaction import interaction_q
 from .manifest import new_manifest
 from .selfsimilar import cp_constant, integrate_profile, ray_energy_decay, semi_energy
-from .solver import Observer, Trajectory, evolve
+from .solver import Observer, Trajectory, evolve, steps_for
 
 _EXIT = {PASS: 0, FAIL: 2, INCONCLUSIVE: 3}
 
@@ -50,22 +50,37 @@ def _run_experiment(cfg, out_dir, outputs):
     return report.verdict
 
 
+def _write_report(out_dir, outputs, name, payload, ok) -> str:
+    """Write ``payload`` and its verdict to ``<name>_report.json``; return the verdict."""
+    verdict = PASS if ok else FAIL
+    outputs.append(write_json(out_dir / f"{name}_report.json",
+                              {**payload, "verdict": verdict}))
+    return verdict
+
+
+def _state_name(t: float) -> str:
+    return f"state_t{t:g}.csv"
+
+
 def _run_simulate(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     eta = cfg["run.eta"]
     times = list(cfg.t_samples())
+    # one state file per sampled step, so no two steps may share a name
+    steps = {steps_for(t, grid.dt) for t in times}
+    if len({_state_name(m * grid.dt) for m in steps}) < len(steps):
+        raise ValidationError("run.t_samples", "sample times too close to be told "
+                              "apart in state file names (6 significant digits)")
     diag_rows = []
 
     def collect(state: FieldState):
-        outputs.append(write_csv(
-            out_dir / f"state_t{state.t:g}.csv", ["x", "u", "v"],
-            zip(grid.nodes, state.u, state.v)))
-        d = compute_densities(state, grid, nl) if nl.sign != "focusing" else None
-        if d is not None:
+        outputs.append(write_csv(out_dir / _state_name(state.t), ["x", "u", "v"],
+                                 zip(grid.nodes, state.u, state.v)))
+        if nl.sign != "focusing":
+            d = compute_densities(state, grid, nl)
             E, M, Ep, Em = conserved_pair(d, grid)
             q = interaction_q(d, grid, "prefix_sum").q_value
-            cone = cone_energy(state, grid, nl, eta)
-            diag_rows.append((state.t, E, M, Ep, Em, cone, q))
+            diag_rows.append((state.t, E, M, Ep, Em, cone_energy(d, grid, eta), q))
 
     evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
            guard=cfg["run.guard"])
@@ -77,29 +92,25 @@ def _run_simulate(cfg, out_dir, outputs):
 
 def _run_flux_check(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
-    a, b, h, t0 = cfg["flux.a"], cfg["flux.b"], cfg["flux.h"], cfg["flux.t0"]
-    traj = Trajectory.record(init, grid, nl, t0 + 2.0 * h, guard=cfg["run.guard"])
-    report = flux_loop(traj, example_flux_polygon(a, b, h, t0), cfg["flux.which"])
-    payload = report.as_dict()
-    payload["threshold"] = cfg["thresholds.flux_residual"]
-    ok = abs(report.closure_residual) <= cfg["thresholds.flux_residual"]
-    payload["verdict"] = PASS if ok else FAIL
-    outputs.append(write_json(out_dir / "flux_report.json", payload))
-    return payload["verdict"]
+    traj = Trajectory.record(init, grid, nl, cfg.horizon(), guard=cfg["run.guard"])
+    path = example_flux_polygon(cfg["flux.a"], cfg["flux.b"], cfg["flux.h"],
+                                cfg["flux.t0"])
+    rep = flux_loop(traj, path, cfg["flux.which"])
+    threshold = cfg["thresholds.flux_residual"]
+    return _write_report(out_dir, outputs, "flux",
+                         {**rep.as_dict(), "threshold": threshold},
+                         abs(rep.closure_residual) <= threshold)
 
 
 def _run_trapezoid(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
-    t2 = cfg["trapezoid.t2"]
-    traj = Trajectory.record(init, grid, nl, t2, guard=cfg["run.guard"])
-    rep = trapezoid_check(traj, cfg["trapezoid.eta"], cfg["trapezoid.t1"], t2,
-                          cfg["trapezoid.which"])
+    traj = Trajectory.record(init, grid, nl, cfg.horizon(), guard=cfg["run.guard"])
+    rep = trapezoid_check(traj, cfg["trapezoid.eta"], cfg["trapezoid.t1"],
+                          cfg["trapezoid.t2"], cfg["trapezoid.which"])
+    threshold = cfg["thresholds.trapezoid_residual"]
     worst = max(abs(rep.residual_left), abs(rep.residual_right))
-    ok = worst <= cfg["thresholds.trapezoid_residual"]
-    payload = {**asdict(rep), "threshold": cfg["thresholds.trapezoid_residual"],
-               "verdict": PASS if ok else FAIL}
-    outputs.append(write_json(out_dir / "trapezoid_report.json", payload))
-    return payload["verdict"]
+    return _write_report(out_dir, outputs, "trapezoid",
+                         {**asdict(rep), "threshold": threshold}, worst <= threshold)
 
 
 def _run_selfsimilar(cfg, out_dir, outputs):
@@ -123,10 +134,8 @@ def _run_selfsimilar(cfg, out_dir, outputs):
         "C_p": rep.C_p, "A_estimate": rep.A_estimate,
         "accepted_steps": sol.accepted_steps, "rejected_steps": sol.rejected_steps,
         "semi_energy_monotone": monotone,
-        "verdict": PASS if monotone else FAIL,
     }
-    outputs.append(write_json(out_dir / "selfsimilar_report.json", payload))
-    return payload["verdict"]
+    return _write_report(out_dir, outputs, "selfsimilar", payload, monotone)
 
 
 def _run_cp_table(cfg, out_dir, outputs):
@@ -203,8 +212,12 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_overrides(args.override)
         if args.config is not None:
-            cfg = parse_config(Path(args.config).read_text(), args.subcommand,
-                               overrides)
+            try:
+                text = Path(args.config).read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ValidationError("config", f"cannot read {args.config!r} "
+                                      f"({type(exc).__name__})")
+            cfg = parse_config(text, args.subcommand, overrides)
         else:
             cfg = resolve(args.subcommand, {}, overrides)
         return dispatch(args.subcommand, cfg, out_dir, quiet=args.quiet)

@@ -206,6 +206,9 @@ class Config:
         return OdeParams(p=self["ode.p"], a=self["ode.a"], b=self["ode.b"],
                          delta=self["ode.delta"], tol=self["ode.tol"])
 
+    def horizon(self) -> float:
+        return _horizon(self.as_dict())
+
     def t_samples(self) -> tuple:
         return self["run.t_samples"]
 
@@ -253,6 +256,15 @@ def _initial_data(values: dict) -> InitialData:
                           if k.startswith("init.")})
 
 
+def _horizon(values: dict) -> float:
+    """The time a run steps to: the flux hexagon's top, trapezoid.t2 or run.t_end."""
+    if "flux.t0" in values:
+        return values["flux.t0"] + 2.0 * values["flux.h"]
+    if "trapezoid.t2" in values:
+        return values["trapezoid.t2"]
+    return values["run.t_end"]
+
+
 def _resolve_derived(subcommand: str, values: dict):
     # range checks on the values the derivations below divide by or size with
     if "grid.cfl" in values and not 0.0 < values["grid.cfl"] <= 1.0:
@@ -269,17 +281,9 @@ def _resolve_derived(subcommand: str, values: dict):
         if unset:
             support = _initial_data(values).support_interval()
             radius = max(abs(support[0]), abs(support[1])) if support else 1.0
-            horizon = values.get("run.t_end")
-            if horizon is None:
-                if "flux.t0" in values:
-                    horizon = values["flux.t0"] + 2.0 * values["flux.h"]
-                elif "trapezoid.t2" in values:
-                    horizon = values["trapezoid.t2"]
-                else:
-                    horizon = 0.0
             # the lattice support cone spreads one cell per step, i.e. at
             # speed 1/cfl, so undersize domains would trip DomainTooSmall
-            half = radius + horizon / values["grid.cfl"] + 2.0
+            half = radius + _horizon(values) / values["grid.cfl"] + 2.0
             n_half = int(math.ceil(half / dx - 1e-9))
             values["grid.x_min"] = -n_half * dx
             values["grid.x_max"] = n_half * dx
@@ -311,6 +315,11 @@ def _validate(cfg: Config):
         if not ts or min(ts) < 0.0:
             raise ValidationError("run.t_samples",
                                   "need at least one sample time, none negative")
+    for key in ("run.guard", "probe.length"):
+        if key in d and not d[key] > 0.0:
+            raise ValidationError(key, "must be positive")
+    if "ode.samples" in d and d["ode.samples"] < 2:
+        raise ValidationError("ode.samples", "need at least two samples")
     if cfg.subcommand == "decay" and not 0.0 < d["run.c"] < 1.0:
         raise ValidationError("run.c", "speed fraction in (0,1)")
     if cfg.subcommand == "concentration":

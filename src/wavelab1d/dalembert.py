@@ -51,8 +51,6 @@ class PicardResult:
     linear_part: np.ndarray
     iterations: int
     final_change: float
-    amplitude_bound: float    # sup of the data wave over the rectangle
-    contraction: float        # p * T^2 * A^(p-1)
 
     @property
     def n_levels(self) -> int:
@@ -182,14 +180,12 @@ def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: f
             raise NoContraction(
                 f"p*T^2*A^(p-1) = {contraction:.3g} exceeds {_CONTRACTION_BOUND}"
                 f" (A = {A:.3g}); shorten T")
-    else:
-        contraction = 0.0
     if nl.source_sign == 0.0:
         # the transform is constant in u; one application is exact
-        return PicardResult(L.copy(), L, 1, 0.0, A, contraction)
+        return PicardResult(L.copy(), L, 1, 0.0)
     U, iterations, change = _picard_from_linear(L, nl, grid.dx, tol_fixed_point,
                                                 max_iterations)
-    return PicardResult(U, L, iterations, change, A, contraction)
+    return PicardResult(U, L, iterations, change)
 
 
 def _slice_state(levels, k, dx) -> FieldState:

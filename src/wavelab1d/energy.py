@@ -161,12 +161,11 @@ def norms(state: FieldState, grid: GridSpec, nl: Nonlinearity):
     return lp, sup, h1l2
 
 
-def cone_energy(state: FieldState, grid: GridSpec, nl: Nonlinearity, eta: float) -> float:
-    """Full energy inside the light cone |x| < t - eta at the state's time."""
-    radius = state.t - eta
+def cone_energy(d: EnergyDensities, grid: GridSpec, eta: float) -> float:
+    """Full energy inside the light cone |x| < t - eta at the densities' time."""
+    radius = d.t - eta
     if radius <= 0.0:
         return 0.0
-    d = compute_densities(state, grid, nl)
     return interval_energy(d, grid, -radius, radius, "full")
 
 
@@ -178,8 +177,9 @@ def light_cone_energy(trajectory, eta: float, t: float) -> float:
     """
     if t - eta <= 0.0:
         return 0.0
-    level = trajectory.level_of(t)
-    return cone_energy(trajectory.state(level), trajectory.grid, trajectory.nl, eta)
+    grid = trajectory.grid
+    d = compute_densities(trajectory.state(trajectory.level_of(t)), grid, trajectory.nl)
+    return cone_energy(d, grid, eta)
 
 
 def morawetz_accumulator(trajectory, t_max: float) -> float:

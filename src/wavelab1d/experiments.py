@@ -212,7 +212,7 @@ def run_retraction(cfg: Config) -> ExperimentReport:
     eta = cfg["run.eta"]
 
     def sample(state: FieldState, d, Ep, Em):
-        return (cone_energy(state, grid, nl, eta),)
+        return (cone_energy(d, grid, eta),)
 
     def settle(report: ExperimentReport):
         E0 = report.columns["E"][0]
@@ -303,37 +303,6 @@ def run_conjecture_probe(cfg: Config) -> ExperimentReport:
     return _run_scenario(cfg, nl, grid, init,
                          ("E_plus_beyond_ray", "weak_probe", "strong_probe"),
                          sample, settle)
-
-
-def levine_threshold(init: InitialData, grid: GridSpec, p: float) -> float:
-    """Amplitude A* at which the focusing energy of A * data crosses zero.
-
-    E(A) = (A^2/2)(|u0'|^2 + |u1|^2) - (A^(p+1)/(p+1)) Int |u0|^(p+1); the
-    sign change is located by bisection on quadrature values.
-    """
-    u0, u1 = init.sample(grid)
-    state = FieldState(t=0.0, u=u0, v=u1)
-    ux, ut = sample_derivatives(state, grid)
-    quad = trapezoid(ux * ux + ut * ut, grid.dx)
-    pot = trapezoid(np.abs(u0) ** (p + 1.0), grid.dx)
-    if pot <= 0.0 or quad <= 0.0:
-        raise ValidationError("init", "need nonzero data for the Levine threshold")
-
-    def energy(A):
-        return 0.5 * A * A * quad - A ** (p + 1.0) / (p + 1.0) * pot
-
-    lo, hi = 1e-8, 1.0
-    while energy(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValidationError("init", "no sign change found")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if energy(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def run_focusing(cfg: Config) -> ExperimentReport:

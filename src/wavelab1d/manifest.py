@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
+from .csvio import write_json
 
 MANIFEST_NAME = "manifest.json"
 
@@ -52,11 +53,7 @@ class RunManifest:
         })
 
     def write(self, out_dir) -> Path:
-        path = Path(out_dir) / MANIFEST_NAME
-        with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        return write_json(Path(out_dir) / MANIFEST_NAME, asdict(self))
 
 
 def new_manifest(subcommand: str, config_text: str) -> RunManifest:

@@ -18,10 +18,11 @@ import pytest
 import wavelab1d as wl
 from wavelab1d.config import resolve
 from wavelab1d.energy import compute_densities, conserved_pair
-from wavelab1d.experiments import (levine_threshold, run_concentration,
-                                   run_decay, run_focusing, run_retraction)
+from wavelab1d.experiments import (run_concentration, run_decay, run_focusing,
+                                   run_retraction)
 from wavelab1d.flux import (example_flux_polygon, flux_loop, parallelogram,
                             rectangle, trapezoid_check)
+from tests_support import levine_threshold
 
 P3 = wl.Nonlinearity(p=3.0)
 

@@ -52,6 +52,21 @@ def test_sample_times_on_one_step_write_one_state_and_row(tmp_path):
     assert len(rows) == 3 and rows[0][0] < rows[1][0] < rows[2][0]
 
 
+def test_sample_times_that_share_a_state_file_name_are_rejected(tmp_path):
+    # at dt = 0.05 the steps at t = 10000.05 and 10000.1 both print as 10000.1
+    out = tmp_path / "sim"
+    code = run_cli(["simulate", "--out-dir", str(out), "--quiet",
+                    "--override", "init.amplitude=0",
+                    "--override", "grid.x_min=-1", "--override", "grid.x_max=1",
+                    "--override", "grid.dx=0.05", "--override", "run.t_end=10000.2",
+                    "--override", "run.t_samples=10000.05,10000.1"])
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_type"] == "ValidationError"
+    assert err["message"].startswith("run.t_samples: ")
+    assert not list(out.glob("state_t*.csv"))
+
+
 def test_decay_report_schema(tmp_path):
     out = tmp_path / "decay"
     code = run_cli(["decay", "--out-dir", str(out), "--quiet",
@@ -97,6 +112,17 @@ def test_error_exit_and_error_json(tmp_path, override):
     err = json.loads((out / "error.json").read_text())
     assert err["error_type"] == "ValidationError"
     assert err["message"].startswith(override.split("=")[0] + ": ")
+
+
+def test_unreadable_config_file_is_an_error(tmp_path):
+    out = tmp_path / "bad"
+    code = run_cli(["decay", str(tmp_path / "missing.txt"), "--out-dir", str(out),
+                    "--quiet"])
+    assert code == 1
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_type"] == "ValidationError"
+    assert err["message"].startswith("config: ")
+    assert "missing.txt" in err["message"]
 
 
 def test_flux_check_and_trapezoid(tmp_path):

@@ -60,6 +60,15 @@ def test_non_finite_values_rejected(subcommand, key, text):
     assert str(info.value) == f"{key}: must be finite"
 
 
+@pytest.mark.parametrize("subcommand, key, text", [
+    ("selfsimilar", "ode.samples", "1"), ("conjecture", "probe.length", "0"),
+    ("focusing", "run.guard", "0")])
+def test_out_of_range_values_rejected(subcommand, key, text):
+    with pytest.raises(ValidationError) as info:
+        resolve(subcommand, {key: text})
+    assert info.value.field == key
+
+
 def test_scenario_key_must_match():
     assert resolve("decay", {"scenario": "decay"})["run.c"] == 0.5
     with pytest.raises(ValidationError):

@@ -5,9 +5,10 @@ import pytest
 
 from wavelab1d import EvennessViolated, GridSpec, InitialData, evolve
 from wavelab1d.config import resolve
-from wavelab1d.experiments import (levine_threshold, run_concentration,
-                                   run_conjecture_probe, run_decay,
-                                   run_focusing, run_retraction, run_tail)
+from wavelab1d.experiments import (run_concentration, run_conjecture_probe,
+                                   run_decay, run_focusing, run_retraction,
+                                   run_tail)
+from tests_support import levine_threshold
 
 COARSE = {"grid.dx": "0.02"}
 

@@ -5,8 +5,9 @@ from unittest import mock
 import numpy as np
 
 from wavelab1d import dalembert, solver
-from wavelab1d.errors import BlowUpDetected
-from wavelab1d.grid import FieldState
+from wavelab1d.energy import trapezoid
+from wavelab1d.errors import BlowUpDetected, ValidationError
+from wavelab1d.grid import FieldState, sample_derivatives
 from wavelab1d.solver import _guard_check, _start_level
 
 
@@ -110,6 +111,37 @@ def level_bytes(fn, init, grid, nl, t_end, **kwargs):
     except BlowUpDetected as exc:
         return ("blowup", exc.t, float(exc.sup_value).hex())
     return levels + [(final.t, final.u.tobytes(), final.v.tobytes())]
+
+
+def levine_threshold(init, grid, p: float) -> float:
+    """Amplitude A* at which the focusing energy of A * data crosses zero.
+
+    E(A) = (A^2/2)(|u0'|^2 + |u1|^2) - (A^(p+1)/(p+1)) Int |u0|^(p+1); the
+    sign change is located by bisection on quadrature values.
+    """
+    u0, u1 = init.sample(grid)
+    state = FieldState(t=0.0, u=u0, v=u1)
+    ux, ut = sample_derivatives(state, grid)
+    quad = trapezoid(ux * ux + ut * ut, grid.dx)
+    pot = trapezoid(np.abs(u0) ** (p + 1.0), grid.dx)
+    if pot <= 0.0 or quad <= 0.0:
+        raise ValidationError("init", "need nonzero data for the Levine threshold")
+
+    def energy(A):
+        return 0.5 * A * A * quad - A ** (p + 1.0) / (p + 1.0) * pot
+
+    lo, hi = 1e-8, 1.0
+    while energy(hi) > 0.0:
+        hi *= 2.0
+        if hi > 1e12:
+            raise ValidationError("init", "no sign change found")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if energy(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def read_csv(path):
