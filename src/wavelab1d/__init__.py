@@ -21,8 +21,8 @@ from .energy import (EnergyDensities, compute_densities, cone_energy,
 from .flux import (FluxReport, PolygonPath, TrapezoidReport,
                    example_flux_polygon, flux_loop, parallelogram, rectangle,
                    trapezoid_check)
-from .interaction import (InteractionReport, VirialReport, interaction_q,
-                          pairwise_weighted_distance, virial_check)
+from .interaction import (VirialReport, interaction_q, pairwise_weighted_distance,
+                          virial_check)
 from .selfsimilar import (OdeParams, OdeSolution, SemiEnergyReport,
                           cp_constant, integrate_profile, lift_field,
                           ray_energy_decay, semi_energy)

@@ -79,7 +79,7 @@ def _run_simulate(cfg, out_dir, outputs):
         if nl.sign != "focusing":
             d = compute_densities(state, grid, nl)
             E, M, Ep, Em = conserved_pair(d, grid)
-            q = interaction_q(d, grid, "prefix_sum").q_value
+            q = interaction_q(d, grid, "prefix_sum")
             diag_rows.append((state.t, E, M, Ep, Em, cone_energy(d, grid, eta), q))
 
     evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],

@@ -318,6 +318,9 @@ def _validate(cfg: Config):
     for key in ("run.guard", "probe.length"):
         if key in d and not d[key] > 0.0:
             raise ValidationError(key, "must be positive")
+    for key in ("run.R", "run.margin_cells"):
+        if key in d and d[key] < 0:
+            raise ValidationError(key, "must be nonnegative")
     if "ode.samples" in d and d["ode.samples"] < 2:
         raise ValidationError("ode.samples", "need at least two samples")
     if cfg.subcommand == "decay" and not 0.0 < d["run.c"] < 1.0:
@@ -338,7 +341,13 @@ def _validate(cfg: Config):
         cfg.ode_params()
     if "ray.R" in d and not 0.0 < d["ray.R"] < d["ray.R1"]:
         raise ValidationError("ray.R", "need 0 < R < R1")
+    if "ray.t_list" in d:
+        ts = d["ray.t_list"]
+        if not ts or ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
+            raise ValidationError("ray.t_list", "need one or more increasing times >= 0")
     if "cp.p_values" in d:
+        if not d["cp.p_values"]:
+            raise ValidationError("cp.p_values", "need at least one p")
         for p in d["cp.p_values"]:
             if not p > 1.0:
                 raise ValidationError("cp.p_values", "p must exceed 1")

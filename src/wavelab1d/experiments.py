@@ -75,19 +75,14 @@ def _new_report(cfg: Config) -> ExperimentReport:
 
 
 def _conservation_gate(report: ExperimentReport, tol: float):
-    E = report.columns.get("E", [])
-    M = report.columns.get("M", [])
-    if not E:
-        return
-    E0 = E[0]
-    scale = abs(E0) if abs(E0) > 0.0 else 1.0
-    drift_e = max(abs(v - E0) for v in E)
-    drift_m = max(abs(v - M[0]) for v in M) if M else 0.0
-    report.scalars["conservation_drift"] = max(drift_e, drift_m)
-    if drift_e > tol * scale or drift_m > tol * scale:
+    E, M = report.columns["E"], report.columns["M"]
+    scale = abs(E[0]) if abs(E[0]) > 0.0 else 1.0
+    drift = max(max(abs(v - E[0]) for v in E), max(abs(v - M[0]) for v in M))
+    report.scalars["conservation_drift"] = drift
+    if drift > tol * scale:
         report.gates["conservation"] = FAIL
         report.notes.append(
-            f"conservation drift {max(drift_e, drift_m):.3e} exceeds "
+            f"conservation drift {drift:.3e} exceeds "
             f"{tol:.1e} * E0; verdict downgraded to inconclusive")
         report.verdict = INCONCLUSIVE
     else:
@@ -380,9 +375,9 @@ def run_concentration(cfg: Config) -> ExperimentReport:
     spot = {}
 
     def sample(state: FieldState, d, Ep, Em):
-        q = interaction_q(d, grid, "prefix_sum").q_value
+        q = interaction_q(d, grid, "prefix_sum")
         if state.t == t_base:
-            brute = interaction_q(d, grid, "brute_force").q_value
+            brute = interaction_q(d, grid, "brute_force")
             spot["q_method_gap"] = abs(brute - q) / (abs(brute) or 1.0)
         scale = float(np.max(np.abs(state.u))) or 1.0
         return q, float(np.max(np.abs(state.u - state.u[::-1]))) / scale

@@ -268,18 +268,10 @@ def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") ->
             grid.step_of(t)
     _check_simple(path)
 
-    density_cache: dict[int, object] = {}
-
-    def densities_at(level):
-        if level not in density_cache:
-            density_cache[level] = compute_densities(trajectory.state(level), grid, nl)
-        return density_cache[level]
-
     values = []
     for e in path.edges:
         if e.tag == HORIZONTAL:
-            m = grid.step_of(e.t0)
-            d = densities_at(m)
+            d = compute_densities(trajectory.state(grid.step_of(e.t0)), grid, nl)
             val = interval_energy(d, grid, min(e.x0, e.x1), max(e.x0, e.x1), which)
             values.append(val if e.x1 > e.x0 else -val)
             continue

@@ -22,13 +22,6 @@ from .grid import GridSpec, sample_derivatives
 from .solver import Trajectory
 
 
-@dataclass(frozen=True)
-class InteractionReport:
-    t: float
-    q_value: float
-    method: str
-
-
 def pairwise_weighted_distance(x, w, method: str = "prefix_sum") -> float:
     """sum over ordered pairs of |x_i - x_j| w_i w_j.
 
@@ -70,12 +63,9 @@ def pairwise_weighted_distance(x, w, method: str = "prefix_sum") -> float:
     raise ValidationError("method", "expected prefix_sum or brute_force")
 
 
-def interaction_q(d: EnergyDensities, grid: GridSpec,
-                  method: str = "prefix_sum") -> InteractionReport:
+def interaction_q(d: EnergyDensities, grid: GridSpec, method: str = "prefix_sum") -> float:
     """Q at one time from the right-going density, weights e_plus * dx."""
-    w = d.e_plus * grid.dx
-    q = pairwise_weighted_distance(grid.nodes, w, method)
-    return InteractionReport(t=d.t, q_value=q, method=method)
+    return pairwise_weighted_distance(grid.nodes, d.e_plus * grid.dx, method)
 
 
 @dataclass(frozen=True)
@@ -102,7 +92,8 @@ def virial_check(trajectory: Trajectory, R: float, s_values=None) -> VirialRepor
     """Evaluate I(s) on a stored run and the residual of its derivative law.
 
     The derivative is a centered difference over one time step, so the
-    residual is second order in the grid spacing.
+    residual is second order in the grid spacing.  Each level the
+    differences need is read from the trajectory once.
     """
     grid = trajectory.grid
     nl = trajectory.nl
@@ -111,28 +102,23 @@ def virial_check(trajectory: Trajectory, R: float, s_values=None) -> VirialRepor
     a = np.clip(x, -R, R)
     inside = np.abs(x) <= R + 1e-9 * dx
 
-    def I_at(level):
-        state = trajectory.state(level)
-        ux, ut = sample_derivatives(state, grid)
-        return trapezoid(a * ux * ut, dx)
-
-    def rhs_at(level):
-        state = trajectory.state(level)
-        ux, ut = sample_derivatives(state, grid)
-        dens = 0.5 * ut * ut + 0.5 * ux * ux + nl.source_sign * potential(state.u, nl)
-        return -trapezoid(dens[inside], dx)
-
     if s_values is None:
         levels = np.arange(1, trajectory.n_levels - 1)
     else:
         levels = np.array([trajectory.level_of(s) for s in s_values], dtype=int)
         if levels.size and (levels.min() < 1 or levels.max() > trajectory.n_levels - 2):
             raise ValidationError("s_values", "centered difference needs interior times")
+    requested = set(levels.tolist())
+    I, rhs = {}, {}
+    for level in sorted({m + k for m in requested for k in (-1, 0, 1)}):
+        state = trajectory.state(level)
+        ux, ut = sample_derivatives(state, grid)
+        I[level] = trapezoid(a * ux * ut, dx)
+        if level in requested:
+            dens = 0.5 * ut * ut + 0.5 * ux * ux + nl.source_sign * potential(state.u, nl)
+            rhs[level] = -trapezoid(dens[inside], dx)
     s_out = levels * dt
-    I_out = np.array([I_at(m) for m in levels])
-    residuals = np.empty_like(I_out)
-    for i, m in enumerate(levels):
-        dIds = (I_at(m + 1) - I_at(m - 1)) / (2.0 * dt)
-        residuals[i] = dIds - rhs_at(m)
+    I_out = np.array([I[m] for m in levels])
+    residuals = np.array([(I[m + 1] - I[m - 1]) / (2.0 * dt) - rhs[m] for m in levels])
     return VirialReport(R=R, s_values=s_out, I_values=I_out,
                         lhs_rhs_residuals=residuals)

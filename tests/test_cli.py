@@ -171,6 +171,16 @@ def test_selfsimilar_outputs(tmp_path):
     assert [r[0] for r in rows2] == [10.0, 20.0, 40.0, 80.0]
 
 
+def test_selfsimilar_decreasing_ray_times_write_only_the_error(tmp_path):
+    out = tmp_path / "ss"
+    code = run_cli(["selfsimilar", "--out-dir", str(out), "--quiet",
+                    "--override", "ray.t_list=40,10"])
+    assert code == 1
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"].startswith("ray.t_list: ")
+
+
 def test_rerun_from_manifest_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     assert run_cli(["simulate", "--out-dir", str(out1), "--quiet",

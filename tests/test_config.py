@@ -62,11 +62,19 @@ def test_non_finite_values_rejected(subcommand, key, text):
 
 @pytest.mark.parametrize("subcommand, key, text", [
     ("selfsimilar", "ode.samples", "1"), ("conjecture", "probe.length", "0"),
-    ("focusing", "run.guard", "0")])
+    ("focusing", "run.guard", "0"), ("tail", "run.margin_cells", "-5"),
+    ("tail", "run.R", "-3"), ("cp-table", "cp.p_values", ","),
+    ("selfsimilar", "ray.t_list", ","), ("selfsimilar", "ray.t_list", "40,10"),
+    ("selfsimilar", "ray.t_list", "10,10"), ("selfsimilar", "ray.t_list", "-5,10")])
 def test_out_of_range_values_rejected(subcommand, key, text):
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {key: text})
     assert info.value.field == key
+
+
+def test_sample_times_end_at_t_end_between_sampling_periods():
+    cfg = resolve("simulate", {}, {"run.t_end": "2.5", "run.sample_every": "1"})
+    assert cfg.t_samples() == (0.0, 1.0, 2.0, 2.5)
 
 
 def test_scenario_key_must_match():

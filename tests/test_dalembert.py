@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from wavelab1d import (GridSpec, InitialData, NoContraction, Nonlinearity,
+from wavelab1d import (GridSpec, InitialData, NoContraction, Nonlinearity, dalembert,
                        dalembert_oracle, evolve, evolve_by_dalembert,
                        picard_fixed_point)
 from wavelab1d.dalembert import _ROW_BLOCK, linear_part, nonlinear_integral
@@ -33,6 +33,38 @@ def test_disabled_returns_linear_evaluation():
     # and the linear lattice evolution agrees with the leapfrog at cfl = 1
     leap = evolve(init, g, LINEAR, 0.5)
     assert np.abs(res.levels[-1] - leap.u).max() <= 1e-12
+
+
+def _spy_on_oracle(monkeypatch):
+    steps = []
+    original = dalembert.picard_fixed_point
+
+    def spy(init, grid, nl, T, **kwargs):
+        steps.append(round(T / grid.dx))
+        return original(init, grid, nl, T, **kwargs)
+    monkeypatch.setattr(dalembert, "picard_fixed_point", spy)
+    return steps
+
+
+def test_windowed_oracle_solves_each_window_with_the_oracle(monkeypatch):
+    steps = _spy_on_oracle(monkeypatch)
+    # the bound fails on [0, 0.5] and holds on [0, 0.25]
+    state = evolve_by_dalembert(InitialData.gaussian(amplitude=1.0), _grid(0.01), P3, 0.5)
+    assert steps == [25, 25]
+    assert state.t == 0.5
+
+
+def test_windowed_oracle_linear_mode_is_one_free_evolution(monkeypatch):
+    g = _grid(0.01)
+    init = InitialData.gaussian(amplitude=5.0, velocity_fraction=0.4)
+    steps = _spy_on_oracle(monkeypatch)
+    state = evolve_by_dalembert(init, g, LINEAR, 0.5)
+    assert steps == [50]
+    ref = dalembert_oracle(init, g, LINEAR, 0.5)
+    assert np.array_equal(state.u, ref.u) and np.array_equal(state.v, ref.v)
+    assert np.abs(state.u - evolve(init, g, LINEAR, 0.5).u).max() <= 1e-12
+    zero = evolve_by_dalembert(InitialData.zero(), g, P3, 0.5)
+    assert np.all(zero.u == 0.0) and np.all(zero.v == 0.0)
 
 
 def test_fixed_point_property():

@@ -106,6 +106,19 @@ def test_interval_energy_empty_and_additive():
     assert split == pytest.approx(total, rel=1e-12)
 
 
+def test_interval_energy_inside_one_cell():
+    g = GridSpec(-2.0, 2.0, 400)                       # dx = 0.01
+    rng = np.random.default_rng(5)
+    d = compute_densities(_state(rng.normal(size=401), rng.normal(size=401)), g, P3)
+    a, c, b = 0.1234, 0.125, 0.1287                    # all inside [0.12, 0.13]
+    # the trapezoid rule integrates the linear interpolant exactly
+    f = np.interp([a, b], g.nodes, d.e_full)
+    total = interval_energy(d, g, a, b, "full")
+    assert total == pytest.approx((b - a) * 0.5 * (f[0] + f[1]), rel=1e-12)
+    split = interval_energy(d, g, a, c, "full") + interval_energy(d, g, c, b, "full")
+    assert split == pytest.approx(total, rel=1e-12)
+
+
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), c=st.floats(-2.0, 2.0))
 @settings(max_examples=50, deadline=None)
 def test_interval_energy_additivity_property(a, b, c):

@@ -54,6 +54,18 @@ def test_tail_exact_zero_and_floor():
     assert max(rep.columns["tail_R0_raw"]) <= 1e-20 * E
 
 
+def test_conservation_drift_beyond_tolerance_is_inconclusive():
+    ov = {**COARSE, "run.t_end": "5"}
+    assert run_tail(resolve("tail", {}, ov)).verdict == "pass"
+    rep = run_tail(resolve("tail", {}, {**ov, "thresholds.conservation_tol": "0"}))
+    assert rep.verdict == "inconclusive"
+    assert rep.gates["conservation"] == "fail"
+    drift = rep.scalars["conservation_drift"]
+    E, M = rep.columns["E"], rep.columns["M"]
+    assert drift == max(abs(v - col[0]) for col in (E, M) for v in col) > 0.0
+    assert rep.notes[-1].startswith(f"conservation drift {drift:.3e} exceeds")
+
+
 def test_tail_zero_data():
     rep = run_tail(resolve("tail", {}, _zero()))
     assert rep.verdict == "pass"

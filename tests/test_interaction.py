@@ -77,10 +77,10 @@ def test_interaction_q_from_densities():
     init = InitialData.polynomial_bump(amplitude=1.0, radius=1.0)
     u0, u1 = init.sample(g)
     d = compute_densities(FieldState(t=0.0, u=u0, v=u1), g, P3)
-    rep_fast = interaction_q(d, g, "prefix_sum")
-    rep_slow = interaction_q(d, g, "brute_force")
-    assert rep_fast.q_value == pytest.approx(rep_slow.q_value, rel=1e-12)
-    assert rep_fast.q_value > 0.0
+    q_fast = interaction_q(d, g, "prefix_sum")
+    q_slow = interaction_q(d, g, "brute_force")
+    assert q_fast == pytest.approx(q_slow, rel=1e-12)
+    assert q_fast > 0.0
 
 
 def test_virial_zero_solution():
@@ -90,6 +90,27 @@ def test_virial_zero_solution():
     rep = virial_check(traj, 1.0)
     assert np.all(rep.I_values == 0.0)
     assert np.all(rep.lhs_rhs_residuals == 0.0)
+
+
+def test_virial_reads_each_level_once(monkeypatch):
+    g = GridSpec(-4.0, 4.0, 400)                       # dt = 0.02
+    init = InitialData.polynomial_bump(amplitude=0.5, radius=1.0, power=2)
+    traj = Trajectory.record(init, g, Nonlinearity(p=3.0, sign="focusing"), 0.5)
+    reads = []
+    state = Trajectory.state
+    monkeypatch.setattr(Trajectory, "state",
+                        lambda self, level: reads.append(level) or state(self, level))
+    virial_check(traj, 1.0)
+    assert reads == list(range(traj.n_levels))
+    reads.clear()
+    rep = virial_check(traj, 1.0, s_values=[0.3, 0.1, 0.12])
+    assert reads == [4, 5, 6, 7, 14, 15, 16]
+    assert np.array_equal(rep.s_values, [0.3, 0.1, 0.12])
+    reads.clear()
+    rep = virial_check(traj, 1.0, s_values=[])
+    assert reads == []
+    for arr in (rep.s_values, rep.I_values, rep.lhs_rhs_residuals):
+        assert arr.shape == (0,) and arr.dtype == np.float64
 
 
 def test_virial_initially_zero_for_time_symmetric_data():

@@ -22,9 +22,12 @@ between nodes) and zero data.  Two more set every ``init.*`` key that an
 analytic kind reads, which pins the key-to-field mapping of the config's
 initial-data builder.
 
-No CLI run reaches the Picard oracle, so the last lines digest it directly:
-``picard_fixed_point``'s levels and iteration count, and the u and v of a
-two-window ``evolve_by_dalembert``, each at one small fixed config.
+No CLI run reaches the Picard oracle or the virial and Morawetz
+functionals, so the last lines digest them directly, each at one small
+fixed config: ``picard_fixed_point``'s levels and iteration count; the u
+and v of ``evolve_by_dalembert`` over two windows, with the source
+disabled and on zero data; ``virial_check`` at every interior time and at
+a list of times; and ``morawetz_accumulator``.
 """
 from __future__ import annotations
 
@@ -33,8 +36,11 @@ import json
 import tempfile
 from pathlib import Path
 
-from wavelab1d import (GridSpec, InitialData, Nonlinearity, evolve_by_dalembert,
-                       picard_fixed_point)
+import numpy as np
+
+from wavelab1d import (GridSpec, InitialData, Nonlinearity, Trajectory,
+                       evolve_by_dalembert, morawetz_accumulator, picard_fixed_point,
+                       virial_check)
 from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
 from wavelab1d.manifest import MANIFEST_NAME
@@ -78,8 +84,12 @@ def digests(root: Path):
                 yield f"{digest}  {label}/{path.name}"
 
 
+def _sha(*arrays) -> str:
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
 def oracle_digests():
-    """Yield the printed lines for the Picard oracle at its fixed configs."""
+    """Yield the printed lines for the verification tools at their fixed configs."""
     grid = GridSpec(-8.0, 8.0, 1600)           # dx = 0.01
     nl = Nonlinearity(p=3.0)
     label = "picard_fixed_point[gaussian amplitude=0.5 velocity_fraction=0.3 T=0.25]"
@@ -88,11 +98,25 @@ def oracle_digests():
     digest = hashlib.sha256(res.levels.tobytes() + str(res.iterations).encode())
     yield f"{digest.hexdigest()}  {label}/levels+iterations"
     # two windows: the bound fails on [0, 0.5] and holds on [0, 0.25]
-    label = "evolve_by_dalembert[gaussian amplitude=1 T=0.5]"
-    state = evolve_by_dalembert(InitialData.gaussian(amplitude=1.0), grid, nl, 0.5)
-    for name in ("u", "v"):
-        digest = hashlib.sha256(getattr(state, name).tobytes()).hexdigest()
-        yield f"{digest}  {label}/{name}"
+    runs = (("gaussian amplitude=1", InitialData.gaussian(amplitude=1.0), nl),
+            ("gaussian velocity_fraction=0.4 sign=disabled",
+             InitialData.gaussian(velocity_fraction=0.4),
+             Nonlinearity(p=3.0, sign="disabled")),
+            ("zero", InitialData.zero(), nl))
+    for name, init, run_nl in runs:
+        state = evolve_by_dalembert(init, grid, run_nl, 0.5)
+        label = f"evolve_by_dalembert[{name} T=0.5]"
+        yield f"{_sha(state.u)}  {label}/u"
+        yield f"{_sha(state.v)}  {label}/v"
+    traj = Trajectory.record(InitialData.polynomial_bump(amplitude=0.5),
+                             GridSpec(-4.0, 4.0, 400), Nonlinearity(p=3.0, sign="focusing"),
+                             1.0)
+    for s_values in (None, [0.1, 0.5, 0.52, 0.98]):
+        rep = virial_check(traj, 1.0, s_values=s_values)
+        label = f"virial_check[polynomial_bump amplitude=0.5 focusing R=1 s={s_values}]"
+        yield f"{_sha(rep.s_values, rep.I_values, rep.lhs_rhs_residuals)}  {label}"
+    label = "morawetz_accumulator[polynomial_bump amplitude=0.5 focusing t_max=1]"
+    yield f"{_sha(np.float64(morawetz_accumulator(traj, 1.0)))}  {label}"
 
 
 if __name__ == "__main__":
