@@ -345,6 +345,11 @@ def _validate(cfg: Config):
         ts = d["ray.t_list"]
         if not ts or ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValidationError("ray.t_list", "need one or more increasing times >= 0")
+        # the ray x = t + R starts at y = t / (t + R), where the profile must reach
+        y_max = 1.0 - d["ode.delta"]
+        if any(t / (t + d["ray.R"]) > y_max + 1e-12 for t in ts):
+            raise ValidationError("ray.t_list",
+                                  f"t / (t + ray.R) must not exceed 1 - ode.delta = {y_max:g}")
     if "cp.p_values" in d:
         if not d["cp.p_values"]:
             raise ValidationError("cp.p_values", "need at least one p")

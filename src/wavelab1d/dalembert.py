@@ -18,8 +18,11 @@ indices [j-m, j+m], element j of row k is
 
     (((W(C_{k-1}, 0) + W(C_0, k-1)) + W(C_1, k-2)) + ... + W(C_{k-2}, 1)) * scale,
 
-and each W is one subtraction of two prefix sums, or a copy of C_l[j+m+1]
-where the window is cut by the left edge.  ``nonlinear_integral`` computes
+and each W is one subtraction of two prefix sums.  C_l is padded with
+zeros on the left and with copies of its last entry on the right, so a
+window cut by the left edge subtracts +0.0, which returns every x exactly
+(-0.0 and NaN included), and one cut by the right edge subtracts from the
+row's total, as the unpadded formula does.  ``nonlinear_integral`` computes
 a block of rows at a time and, for each half-width m from high to low, adds
 that term to every row of the block that has one.  Row k meets its terms
 in the order above, and every element gets the same operations on the same
@@ -123,26 +126,23 @@ def nonlinear_integral(levels: np.ndarray, nl: Nonlinearity, dx: float) -> np.nd
         return out
     g = nl.power_term(levels)
     gbar = 0.5 * (g[:-1] + g[1:])                      # half-level averages
-    C = np.zeros((K, n + 1))
-    np.cumsum(gbar, axis=1, out=C[:, 1:])
-    j = np.arange(n)
+    # C[l, K + i] is C_l[i], padded by K zeros on the left and K copies of
+    # C_l[n] on the right
+    C = np.zeros((K, K + n + 1 + K))
+    np.cumsum(gbar, axis=1, out=C[:, K + 1:K + n + 1])
+    C[:, K + n + 1:] = C[:, K + n:K + n + 1]
     window = np.empty((_ROW_BLOCK, n))
     for k0 in range(1, K + 1, _ROW_BLOCK):
         k1 = min(k0 + _ROW_BLOCK, K + 1)
-        np.subtract(C[k0 - 1:k1 - 1, 1:], C[k0 - 1:k1 - 1, :-1], out=out[k0:k1])
+        np.subtract(C[k0 - 1:k1 - 1, K + 1:K + n + 1], C[k0 - 1:k1 - 1, K:K + n],
+                    out=out[k0:k1])
         for m in range(k1 - 2, 0, -1):
             # rows k >= m+1 of the block add W(C[k-1-m], m)
             ka = max(k0, m + 1)
             rows = C[ka - 1 - m:k1 - 1 - m]
-            acc = out[ka:k1]
-            if 2 * m < n:
-                w = window[:k1 - ka]
-                np.subtract(rows[:, 2 * m + 1:], rows[:, :n - 2 * m], out=w[:, m:n - m])
-                np.subtract(rows[:, n:], rows[:, n - 2 * m:n - m], out=w[:, n - m:])
-                acc[:, :m] += rows[:, m + 1:2 * m + 1]
-                acc[:, m:] += w[:, m:]
-            else:
-                acc += rows[:, np.minimum(j + m + 1, n)] - rows[:, np.maximum(j - m, 0)]
+            w = window[:k1 - ka]
+            np.subtract(rows[:, K + m + 1:K + m + 1 + n], rows[:, K - m:K - m + n], out=w)
+            out[ka:k1] += w
     out[1:] *= scale
     return out
 

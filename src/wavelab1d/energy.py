@@ -191,12 +191,20 @@ def morawetz_accumulator(trajectory, t_max: float) -> float:
     grid = trajectory.grid
     p = trajectory.nl.p
     level_max = trajectory.level_of(t_max)
-    x = grid.nodes
+    xx = grid.nodes * grid.nodes
     slab = np.empty(level_max + 1)
+    f = np.zeros_like(xx)
     for m in range(level_max + 1):
         t = float(trajectory.times[m])
-        w = ((t + 1.0) ** 2 - x * x) / (t + 1.0) ** 3
-        np.clip(w, 0.0, None, out=w)
         u = trajectory.u_levels[m]
-        slab[m] = trapezoid(w * np.abs(u) ** (p + 1.0), grid.dx)
+        # u = ±0.0 gives a +0.0 integrand, so pow runs only from the first to
+        # the last node that is not ±0.0 (NaN is nonzero); the rule still
+        # sums the whole row, whose summation order sets the bits
+        nonzero = np.flatnonzero(u)
+        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        w = ((t + 1.0) ** 2 - xx[lo:hi]) / (t + 1.0) ** 3
+        np.clip(w, 0.0, None, out=w)
+        np.multiply(w, np.abs(u[lo:hi]) ** (p + 1.0), out=f[lo:hi])
+        slab[m] = trapezoid(f, grid.dx)
+        f[lo:hi] = 0.0
     return trapezoid(slab, grid.dt)

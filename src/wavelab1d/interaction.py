@@ -9,6 +9,14 @@ weights w_j = e_plus(x_j) dx,
 an O(N^2) double sum that collapses to O(N) with prefix sums over the
 sorted grid:  sum_{j<i} (x_i - x_j) w_j = x_i W_i - S_i with W, S the
 running sums of w and x w.
+
+The brute-force oracle keeps the O(N^2) sum over the pairs with nonzero
+weights.  It adds one sum per block of 1024 matrix rows, in block order,
+and each block sum has the bits numpy's pairwise ``sum`` would give over
+the whole block.  The block is never held whole: its pairwise tree is split
+as numpy splits it down to leaves of at most 2**17 elements, each leaf is
+computed from the few rows it spans and summed by ``ndarray.sum``, and the
+leaf sums are combined in tree order.  Memory is O(leaf + N).
 """
 from __future__ import annotations
 
@@ -22,12 +30,32 @@ from .grid import GridSpec, sample_derivatives
 from .solver import Trajectory
 
 
+# rows per block sum and elements per leaf of the brute force (module docstring)
+_BLOCK_ROWS = 1024
+_LEAF = 1 << 17
+
+
+def _tree_sum(leaf_sum, lo, hi):
+    """numpy's pairwise sum of elements [lo, hi), leaves from ``leaf_sum``.
+
+    numpy sums a contiguous range of more than 128 elements as the sum of
+    its halves split at n//2 - (n//2) % 8, so splitting the same way above
+    ``_LEAF`` elements and summing each leaf with ``ndarray.sum`` gives the
+    same bits as one ``sum`` over [lo, hi).
+    """
+    n = hi - lo
+    if n <= _LEAF:
+        return leaf_sum(lo, hi)
+    h = n // 2 - (n // 2) % 8
+    return _tree_sum(leaf_sum, lo, lo + h) + _tree_sum(leaf_sum, lo + h, hi)
+
+
 def pairwise_weighted_distance(x, w, method: str = "prefix_sum") -> float:
     """sum over ordered pairs of |x_i - x_j| w_i w_j.
 
     ``prefix_sum`` requires x sorted ascending (grid order) and runs in
-    O(N); ``brute_force`` is the O(N^2) oracle, evaluated in blocks.
-    Both are deterministic.
+    O(N); ``brute_force`` is the O(N^2) oracle, evaluated in blocks and
+    leaves as the module docstring describes.  Both are deterministic.
     """
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -46,19 +74,24 @@ def pairwise_weighted_distance(x, w, method: str = "prefix_sum") -> float:
     if method == "brute_force":
         mask = w != 0.0
         xs, ws = x[mask], w[mask]
-        if xs.size == 0:
+        n = xs.size
+        if n == 0:
             return 0.0
-        total = 0.0
-        block = 1024
-        buf = np.empty((min(block, xs.size), xs.size))
-        for i0 in range(0, xs.size, block):
-            nb = min(block, xs.size - i0)
-            d = buf[:nb]
-            np.subtract(xs[i0:i0 + nb, None], xs[None, :], out=d)
+        rows = np.empty((min(_BLOCK_ROWS, n, _LEAF // n + 2), n))
+
+        def leaf_sum(lo, hi):
+            # flat elements [lo, hi) of the N x N matrix, from the rows they span
+            r0, r1 = lo // n, -(-hi // n)
+            d = rows[:r1 - r0]
+            np.subtract(xs[r0:r1, None], xs[None, :], out=d)
             np.abs(d, out=d)
-            d *= ws[i0:i0 + nb, None]
+            d *= ws[r0:r1, None]
             d *= ws[None, :]
-            total += float(d.sum())
+            return d.reshape(-1)[lo - r0 * n:hi - r0 * n].sum()
+
+        total = 0.0
+        for i0 in range(0, n, _BLOCK_ROWS):
+            total += float(_tree_sum(leaf_sum, i0 * n, min(i0 + _BLOCK_ROWS, n) * n))
         return total
     raise ValidationError("method", "expected prefix_sum or brute_force")
 

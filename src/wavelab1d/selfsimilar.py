@@ -188,6 +188,15 @@ class OdeSolution:
         return f, fp
 
 
+def _stage(f, fp, h, coefficients, ks):
+    """(f, fp) + h * sum(c * k), each component added left to right from 0."""
+    sf = sfp = 0
+    for c, (kf, kfp) in zip(coefficients, ks):
+        sf = sf + c * kf
+        sfp = sfp + c * kfp
+    return f + h * sf, fp + h * sfp
+
+
 def _integrate_side(params: OdeParams, direction: int):
     """Adaptive sweep from y = 0 towards direction * (1 - delta).
 
@@ -196,16 +205,19 @@ def _integrate_side(params: OdeParams, direction: int):
     """
     target = direction * (1.0 - params.delta)
     y = 0.0
-    state = np.array([params.a, params.b])
+    f, fp = params.a, params.b
     tol = params.tol
 
-    def deriv(yy, st):
-        return np.array([st[1], profile_rhs(params, yy, st[0], st[1])])
+    def rhs(yy, ff, ffp):
+        try:
+            return profile_rhs(params, yy, ff, ffp)
+        except OverflowError:   # where numpy gave inf; either rejects the step
+            return math.inf
 
     ys, fs, fps, fpps = [], [], [], []
     accepted = rejected = 0
     h = direction * min(1e-3, DENSE_OUTPUT_MAX_STEP)
-    k1 = deriv(y, state)
+    k1 = (fp, rhs(y, f, fp))
     while (target - y) * direction > 1e-13:
         cap = min(ENDPOINT_STEP_FRACTION * (1.0 - abs(y)), DENSE_OUTPUT_MAX_STEP)
         h = direction * min(abs(h), cap)
@@ -217,29 +229,30 @@ def _integrate_side(params: OdeParams, direction: int):
         failed = False
         for i in range(1, 7):
             yi = y + _DP_C[i] * h
-            si = state + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-            if abs(yi) >= 1.0 or not np.isfinite(si).all():
+            fi, fpi = _stage(f, fp, h, _DP_A[i], ks)
+            if abs(yi) >= 1.0 or not (math.isfinite(fi) and math.isfinite(fpi)):
                 failed = True
                 break
-            ks.append(deriv(yi, si))
+            ks.append((fpi, rhs(yi, fi, fpi)))
         if not failed:
-            y5 = state + h * sum(b * k for b, k in zip(_DP_B5, ks))
-            y4 = state + h * sum(b * k for b, k in zip(_DP_B4, ks))
-            err_vec = np.abs(y5 - y4) / (tol + tol * np.abs(y5))
-            err = float(err_vec.max()) if np.isfinite(err_vec).all() else math.inf
+            f5, fp5 = _stage(f, fp, h, _DP_B5, ks)
+            f4, fp4 = _stage(f, fp, h, _DP_B4, ks)
+            e0 = abs(f5 - f4) / (tol + tol * abs(f5))
+            e1 = abs(fp5 - fp4) / (tol + tol * abs(fp5))
+            err = max(e0, e1) if math.isfinite(e0) and math.isfinite(e1) else math.inf
         else:
             err = math.inf
         if err <= 1.0:
             y_new = y + h
             if abs(y_new - target) < 1e-15:
                 y_new = target
-            state = y5
+            f, fp = f5, fp5
             y = y_new
             k1 = ks[6]  # FSAL: last stage equals the derivative at the new point
             ys.append(y)
-            fs.append(state[0])
-            fps.append(state[1])
-            fpps.append(profile_rhs(params, y, state[0], state[1]))
+            fs.append(f)
+            fps.append(fp)
+            fpps.append(profile_rhs(params, y, f, fp))
             accepted += 1
         else:
             rejected += 1

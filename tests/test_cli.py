@@ -181,6 +181,37 @@ def test_selfsimilar_decreasing_ray_times_write_only_the_error(tmp_path):
     assert err["message"].startswith("ray.t_list: ")
 
 
+def test_selfsimilar_ray_times_past_the_profile_write_only_the_error(tmp_path):
+    # t / (t + R) exceeds the profile's range 1 - delta
+    out = tmp_path / "ss"
+    code = run_cli(["selfsimilar", "--out-dir", str(out), "--quiet",
+                    "--override", "ray.t_list=10,20000"])
+    assert code == 1
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["message"].startswith("ray.t_list: ")
+
+
+def test_selfsimilar_largest_accepted_ray_time_runs(tmp_path):
+    # the largest float t with t / (t + R) <= (1 - delta) + 1e-12 at the defaults
+    def accepted(t):
+        return t / (t + 1.0) <= (1.0 - 1e-4) + 1e-12
+
+    lo, hi = 9999.0, 10000.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+    assert accepted(lo) and not accepted(hi)
+    out = tmp_path / "edge"
+    assert run_cli(["selfsimilar", "--out-dir", str(out), "--quiet",
+                    "--override", "ode.samples=201",
+                    "--override", f"ray.t_list=10,{lo!r}"]) == 0
+    header, rows = read_csv(out / "ray_decay.csv")
+    assert [r[0] for r in rows] == [10.0, lo]
+    with pytest.raises(ValidationError, match="ray.t_list"):
+        resolve("selfsimilar", {}, {"ray.t_list": f"10,{hi!r}"})
+
+
 def test_rerun_from_manifest_byte_identical(tmp_path):
     out1 = tmp_path / "a"
     assert run_cli(["simulate", "--out-dir", str(out1), "--quiet",

@@ -11,6 +11,8 @@ from wavelab1d import (GridSpec, InitialData, Nonlinearity, Observer,
                        light_cone_energy, morawetz_accumulator)
 from wavelab1d.grid import FieldState
 
+from tests_support import full_row_morawetz
+
 P3 = Nonlinearity(p=3.0)
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -167,6 +169,32 @@ def test_zero_trajectory_cone_and_morawetz():
     traj = Trajectory.record(InitialData.zero(), g, P3, 3.0)
     assert light_cone_energy(traj, eta=0.0, t=2.0) == 0.0
     assert morawetz_accumulator(traj, 3.0) == 0.0
+
+
+def _nan_poked(traj):
+    u_levels = traj.u_levels.copy()
+    u_levels[3, u_levels.shape[1] // 3] = math.nan
+    return Trajectory(traj.grid, traj.nl, traj.times, u_levels, traj.v_levels)
+
+
+_MORAWETZ_RUNS = {
+    # a negative bump samples to -0.0 outside its support
+    "negative bump": (InitialData.polynomial_bump(amplitude=-0.8), P3),
+    "focusing": (InitialData.polynomial_bump(amplitude=0.5),
+                 Nonlinearity(p=3.0, sign="focusing")),
+    "zero": (InitialData.zero(), P3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MORAWETZ_RUNS))
+def test_morawetz_bits_match_full_row_reference(name):
+    init, nl = _MORAWETZ_RUNS[name]
+    traj = Trajectory.record(init, GridSpec(-4.0, 4.0, 400), nl, 1.5)
+    for t_max in (0.0, 0.52, 1.5):
+        got = morawetz_accumulator(traj, t_max)
+        assert got.hex() == full_row_morawetz(traj, t_max).hex()
+    # a NaN sits inside the extent the zero skip computes over
+    assert math.isnan(morawetz_accumulator(_nan_poked(traj), 1.5))
 
 
 def test_morawetz_monotone_and_saturating():

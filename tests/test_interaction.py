@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,9 @@ from wavelab1d import (GridSpec, InitialData, Nonlinearity, Trajectory,
                        compute_densities, interaction_q,
                        pairwise_weighted_distance, virial_check)
 from wavelab1d.grid import FieldState
+from wavelab1d.interaction import _LEAF as LEAF, _tree_sum
+
+from tests_support import blockwise_brute_force
 
 P3 = Nonlinearity(p=3.0)
 
@@ -48,6 +53,45 @@ def test_methods_agree_property(pairs):
     # in one method and round-off-small in the other
     noise = 1e-12 * (1.0 + float(np.sum(w)) ** 2 * float(np.max(x, initial=0.0)))
     assert abs(qp - qb) <= 1e-10 * qb + noise
+
+
+def _brute_force_input(n, zero_fraction, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-10.0, 10.0, n))
+    w = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    w[rng.random(n) < zero_fraction] = 0.0
+    return x, w
+
+
+@pytest.mark.parametrize("n, zero_fraction", [(1, 0.0), (7, 0.0), (1023, 0.0),
+                                              (1025, 0.0), (3000, 0.3)])
+def test_brute_force_bits_match_blockwise_reference(n, zero_fraction):
+    x, w = _brute_force_input(n, zero_fraction, seed=n)
+    got = pairwise_weighted_distance(x, w, "brute_force")
+    assert got.hex() == blockwise_brute_force(x, w).hex()
+
+
+@pytest.mark.parametrize("size", [LEAF - 1, LEAF, LEAF + 1, LEAF + 9, 2 * LEAF - 1,
+                                  2 * LEAF + 1, 3 * LEAF + 5, 8 * LEAF + 17])
+def test_leaf_tree_sum_matches_ndarray_sum(size):
+    # a numpy change to its pairwise summation fails here, not in the digests
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal(size + 3) * 10.0 ** rng.uniform(-8.0, 8.0, size + 3)
+    for lo in (0, 3):
+        got = _tree_sum(lambda i, j: a[i:j].sum(), lo, lo + size)
+        assert float(got).hex() == float(a[lo:lo + size].sum()).hex()
+
+
+def test_brute_force_memory_is_leaf_sized():
+    x, w = _brute_force_input(6000, 0.0, seed=6)
+    tracemalloc.start()
+    try:
+        pairwise_weighted_distance(x, w, "brute_force")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 1024-row block of 6,000 columns alone would be 49 MB
+    assert peak < 8e6
 
 
 def test_all_equal_positions_give_zero():

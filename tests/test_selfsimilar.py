@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavelab1d import (InvalidParams, OdeParams, OutOfRange, cp_constant,
-                       integrate_profile, lift_field, ray_energy_decay,
-                       semi_energy)
+from wavelab1d import (InvalidParams, OdeParams, OutOfRange, ToleranceNotMet,
+                       cp_constant, integrate_profile, lift_field,
+                       ray_energy_decay, semi_energy)
 from wavelab1d.selfsimilar import potential
 from tests_support import constant_solution_value
 
@@ -80,6 +80,12 @@ def test_determinism():
     s2 = integrate_profile(params)
     assert np.all(s1.f_samples == s2.f_samples)
     assert s1.accepted_steps == s2.accepted_steps
+
+
+def test_overflowing_derivative_rejects_steps():
+    # |a|^(p-1) overflows a float: every step is rejected until h underflows
+    with pytest.raises(ToleranceNotMet, match="step size underflow at y = 0"):
+        integrate_profile(OdeParams(p=5.0, a=1e80, b=0.0))
 
 
 def test_semi_energy_zero_solution_closed_form():

@@ -211,3 +211,45 @@ def with_row_by_row_integral(fn, *args, **kwargs):
     ``row_by_row_nonlinear_integral``."""
     with mock.patch.object(dalembert, "nonlinear_integral", row_by_row_nonlinear_integral):
         return fn(*args, **kwargs)
+
+
+def blockwise_brute_force(x, w):
+    """The one-buffer-per-block brute-force Q that ``pairwise_weighted_distance``
+    replaced; its leaf-by-leaf sums must reproduce it bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(w, dtype=float)
+    mask = w != 0.0
+    xs, ws = x[mask], w[mask]
+    if xs.size == 0:
+        return 0.0
+    total = 0.0
+    block = 1024
+    buf = np.empty((min(block, xs.size), xs.size))
+    for i0 in range(0, xs.size, block):
+        nb = min(block, xs.size - i0)
+        d = buf[:nb]
+        np.subtract(xs[i0:i0 + nb, None], xs[None, :], out=d)
+        np.abs(d, out=d)
+        d *= ws[i0:i0 + nb, None]
+        d *= ws[None, :]
+        total += float(d.sum())
+    return total
+
+
+def full_row_morawetz(trajectory, t_max):
+    """The full-grid ``morawetz_accumulator`` loop that the zero-skipping one
+    replaced; it must reproduce it bit for bit.
+    """
+    grid = trajectory.grid
+    p = trajectory.nl.p
+    level_max = trajectory.level_of(t_max)
+    x = grid.nodes
+    slab = np.empty(level_max + 1)
+    for m in range(level_max + 1):
+        t = float(trajectory.times[m])
+        w = ((t + 1.0) ** 2 - x * x) / (t + 1.0) ** 3
+        np.clip(w, 0.0, None, out=w)
+        u = trajectory.u_levels[m]
+        slab[m] = trapezoid(w * np.abs(u) ** (p + 1.0), grid.dx)
+    return trapezoid(slab, grid.dt)

@@ -22,12 +22,16 @@ between nodes) and zero data.  Two more set every ``init.*`` key that an
 analytic kind reads, which pins the key-to-field mapping of the config's
 initial-data builder.
 
-No CLI run reaches the Picard oracle or the virial and Morawetz
-functionals, so the last lines digest them directly, each at one small
-fixed config: ``picard_fixed_point``'s levels and iteration count; the u
-and v of ``evolve_by_dalembert`` over two windows, with the source
+No CLI run reaches the Picard oracle, the virial and Morawetz functionals
+or the brute-force Q, so the last lines digest them directly, each at one
+small fixed config: ``picard_fixed_point``'s levels and iteration count;
+the u and v of ``evolve_by_dalembert`` over two windows, with the source
 disabled and on zero data; ``virial_check`` at every interior time and at
-a list of times; and ``morawetz_accumulator``.
+a list of times; and ``morawetz_accumulator``.  Then come the oracles at
+inputs off the CLI defaults: brute-force Q on 3,000 seeded points, some
+with zero weight (three 1024-row blocks); ``integrate_profile`` with
+``semi_energy`` at p = 2.5 and at p = 5 with f'(0) != 0; and
+``morawetz_accumulator`` on a negative bump, which samples to -0.0.
 """
 from __future__ import annotations
 
@@ -38,8 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from wavelab1d import (GridSpec, InitialData, Nonlinearity, Trajectory,
-                       evolve_by_dalembert, morawetz_accumulator, picard_fixed_point,
+from wavelab1d import (GridSpec, InitialData, Nonlinearity, OdeParams, Trajectory,
+                       evolve_by_dalembert, integrate_profile, morawetz_accumulator,
+                       pairwise_weighted_distance, picard_fixed_point, semi_energy,
                        virial_check)
 from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
@@ -117,6 +122,23 @@ def oracle_digests():
         yield f"{_sha(rep.s_values, rep.I_values, rep.lhs_rhs_residuals)}  {label}"
     label = "morawetz_accumulator[polynomial_bump amplitude=0.5 focusing t_max=1]"
     yield f"{_sha(np.float64(morawetz_accumulator(traj, 1.0)))}  {label}"
+    rng = np.random.default_rng(2024)
+    x = rng.uniform(-10.0, 10.0, 3000)
+    w = rng.uniform(0.0, 1.0, 3000) * (rng.random(3000) >= 0.3)
+    q = pairwise_weighted_distance(x, w, "brute_force")
+    yield f"{_sha(np.float64(q))}  pairwise_weighted_distance[3000 seeded points brute_force]"
+    for p, a, b in ((2.5, 1.0, 0.0), (5.0, 0.8, 0.5)):
+        params = OdeParams(p=p, a=a, b=b)
+        sol = integrate_profile(params)
+        rep = semi_energy(sol, params)
+        steps = np.array([sol.accepted_steps, sol.rejected_steps])
+        digest = _sha(sol.y_samples, sol.f_samples, sol.fprime_samples,
+                      rep.Etilde_samples, rep.asymptotic_trace, steps)
+        yield f"{digest}  integrate_profile+semi_energy[p={p} a={a} b={b}]"
+    traj = Trajectory.record(InitialData.polynomial_bump(amplitude=-0.8),
+                             GridSpec(-4.0, 4.0, 400), Nonlinearity(p=3.0), 1.5)
+    label = "morawetz_accumulator[polynomial_bump amplitude=-0.8 defocusing t_max=1.5]"
+    yield f"{_sha(np.float64(morawetz_accumulator(traj, 1.5)))}  {label}"
 
 
 if __name__ == "__main__":
