@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SUBCOMMANDS, parse_config, resolve
+from .config import SUBCOMMANDS, parse_text, resolve
 from .csvio import write_csv, write_json
 from .energy import compute_densities, cone_energy, conserved_pair
 from .errors import ValidationError, WaveLabError
@@ -41,10 +41,9 @@ def _utcnow() -> str:
 def _run_experiment(cfg, out_dir, outputs):
     subcommand = cfg.subcommand
     report = RUNNERS[subcommand](cfg)
-    series_names = [n for n in report.columns if n != "t"]
-    rows = zip(report.columns["t"], *(report.columns[n] for n in series_names))
+    # every runner's columns start with "t"
     outputs.append(write_csv(out_dir / f"{subcommand}_series.csv",
-                             ["t"] + series_names, rows))
+                             list(report.columns), zip(*report.columns.values())))
     outputs.append(write_json(out_dir / f"{subcommand}_report.json",
                               report.to_json_dict()))
     return report.verdict
@@ -65,7 +64,7 @@ def _state_name(t: float) -> str:
 def _run_simulate(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     eta = cfg["run.eta"]
-    times = list(cfg.t_samples())
+    times = cfg["run.t_samples"]
     # one state file per sampled step, so no two steps may share a name
     steps = {steps_for(t, grid.dt) for t in times}
     if len({_state_name(m * grid.dt) for m in steps}) < len(steps):
@@ -139,10 +138,7 @@ def _run_selfsimilar(cfg, out_dir, outputs):
 
 
 def _run_cp_table(cfg, out_dir, outputs):
-    rows = []
-    for p in cfg["cp.p_values"]:
-        beta = 2.0 / (p - 1.0)
-        rows.append((p, beta, cp_constant(p)))
+    rows = [(p, 2.0 / (p - 1.0), cp_constant(p)) for p in cfg["cp.p_values"]]
     outputs.append(write_csv(out_dir / "cp_table.csv", ["p", "beta", "C_p"], rows))
     return PASS
 
@@ -157,8 +153,9 @@ _HANDLERS = {
 }
 
 
-def dispatch(subcommand: str, cfg, out_dir, quiet: bool = False) -> int:
-    """Run one subcommand, writing outputs plus the run manifest."""
+def dispatch(cfg, out_dir, quiet: bool = False) -> int:
+    """Run ``cfg.subcommand``, writing outputs plus the run manifest."""
+    subcommand = cfg.subcommand
     handler = _HANDLERS.get(subcommand)
     if handler is None:
         raise ValidationError("subcommand", f"unknown subcommand {subcommand!r}")
@@ -211,16 +208,15 @@ def main(argv=None) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path(f"out_{args.subcommand}")
     try:
         overrides = _parse_overrides(args.override)
+        text = ""
         if args.config is not None:
             try:
                 text = Path(args.config).read_text()
             except (OSError, UnicodeDecodeError) as exc:
                 raise ValidationError("config", f"cannot read {args.config!r} "
                                       f"({type(exc).__name__})")
-            cfg = parse_config(text, args.subcommand, overrides)
-        else:
-            cfg = resolve(args.subcommand, {}, overrides)
-        return dispatch(args.subcommand, cfg, out_dir, quiet=args.quiet)
+        cfg = resolve(args.subcommand, parse_text(text), overrides)
+        return dispatch(cfg, out_dir, quiet=args.quiet)
     except WaveLabError as exc:
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "error.json",

@@ -4,13 +4,15 @@ Grammar: one ``key = value`` pair per line; ``#`` starts a comment; keys are
 dotted lowercase identifiers (``grid.dx``); values are numbers, bare words,
 ``true``/``false`` or comma-separated number lists.  Unknown keys are
 rejected per subcommand, and every physical parameter is validated against
-its type invariants.  ``emit`` writes the fully resolved configuration in
-canonical sorted order, so parse(emit(cfg)) == cfg.
+its type invariants.  A resolved ``Config`` holds its values in one
+read-only mapping; ``emit`` writes them in canonical sorted order, so
+``resolve(sub, parse_text(cfg.emit())) == cfg``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import ParseError, ValidationError
 from .grid import GridSpec, InitialData, Nonlinearity
@@ -163,20 +165,14 @@ class Config:
     """Fully resolved configuration for one subcommand."""
 
     subcommand: str
-    values: tuple  # sorted (key, value) pairs; tuples keep Config hashable
+    values: MappingProxyType
 
     def __getitem__(self, key):
-        for k, v in self.values:
-            if k == key:
-                return v
-        raise KeyError(key)
-
-    def as_dict(self) -> dict:
-        return dict(self.values)
+        return self.values[key]
 
     def emit(self) -> str:
         lines = []
-        for key, value in self.values:
+        for key, value in sorted(self.values.items()):
             if isinstance(value, tuple):
                 rendered = ",".join(repr(float(v)) for v in value)
             elif isinstance(value, bool):
@@ -194,7 +190,7 @@ class Config:
         return Nonlinearity(p=self["nl.p"], sign=self["nl.sign"])
 
     def initial_data(self) -> InitialData:
-        return _initial_data(self.as_dict())
+        return _initial_data(self.values)
 
     def grid(self) -> GridSpec:
         x_min, x_max, dx = self["grid.x_min"], self["grid.x_max"], self["grid.dx"]
@@ -207,13 +203,10 @@ class Config:
                          delta=self["ode.delta"], tol=self["ode.tol"])
 
     def horizon(self) -> float:
-        return _horizon(self.as_dict())
-
-    def t_samples(self) -> tuple:
-        return self["run.t_samples"]
+        return _horizon(self.values)
 
     def thresholds(self) -> dict:
-        return {k.split(".", 1)[1]: v for k, v in self.values
+        return {k.split(".", 1)[1]: v for k, v in self.values.items()
                 if k.startswith("thresholds.")}
 
 
@@ -241,7 +234,7 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
         values.setdefault(key, None if isinstance(default, type) else default)
 
     _resolve_derived(subcommand, values)
-    cfg = Config(subcommand=subcommand, values=tuple(sorted(values.items())))
+    cfg = Config(subcommand=subcommand, values=MappingProxyType(values))
     _validate(cfg)
     return cfg
 
@@ -304,7 +297,7 @@ def _resolve_derived(subcommand: str, values: dict):
 
 
 def _validate(cfg: Config):
-    d = cfg.as_dict()
+    d = cfg.values
     if "nl.p" in d:
         cfg.nonlinearity()
     if "grid.dx" in d:
@@ -357,8 +350,3 @@ def _validate(cfg: Config):
             if not p > 1.0:
                 raise ValidationError("cp.p_values", "p must exceed 1")
 
-
-def parse_config(text: str, subcommand: str,
-                 overrides: dict[str, str] | None = None) -> Config:
-    """Parse config text and resolve it for a subcommand."""
-    return resolve(subcommand, parse_text(text), overrides)

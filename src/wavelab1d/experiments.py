@@ -15,7 +15,7 @@ them bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -55,16 +55,9 @@ class ExperimentReport:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "verdict": self.verdict,
-            "gates": dict(self.gates),
-            "thresholds": dict(self.thresholds),
-            "notes": list(self.notes),
-            "series_summary": self.series_summary(),
-            "scalars": dict(self.scalars),
-            "manifest": dict(self.manifest),
-        }
+        out = asdict(self)
+        del out["columns"]
+        return {**out, "series_summary": self.series_summary()}
 
 
 def _new_report(cfg: Config) -> ExperimentReport:
@@ -119,7 +112,7 @@ def _run_scenario(cfg: Config, nl: Nonlinearity, grid: GridSpec, init: InitialDa
             column.append(value)
 
     evolve(init, grid, nl, cfg["run.t_end"],
-           observers=[Observer(list(cfg.t_samples()), collect)], guard=cfg["run.guard"])
+           observers=[Observer(cfg["run.t_samples"], collect)], guard=cfg["run.guard"])
     report.columns = cols
     if zero_note is not None and cols["E"][0] == 0.0:
         report.verdict = INCONCLUSIVE
@@ -280,17 +273,13 @@ def run_conjecture_probe(cfg: Config) -> ExperimentReport:
         strong_ok = strong[-1] <= cfg["thresholds.strong_probe_ratio"] * strong[base]
         retracted = series[-1] <= cfg["thresholds.retraction_ratio"] * E0
 
-        report.gates["ray_series_monotone"] = PASS if monotone else FAIL
-        report.gates["weak_probe"] = PASS if weak_ok else FAIL
-        report.gates["strong_probe"] = PASS if strong_ok else FAIL
+        _settle(report, {"ray_series_monotone": monotone, "weak_probe": weak_ok,
+                         "strong_probe": strong_ok})
         report.gates["ray_series_retracted"] = PASS if retracted else INCONCLUSIVE
-        if not (monotone and weak_ok and strong_ok):
-            report.verdict = FAIL
-        elif retracted:
-            report.verdict = PASS
+        if report.verdict == PASS and retracted:
             report.notes.append("ray series fell below its threshold at desk scale; "
                                 "the t -> infinity statement remains open")
-        else:
+        elif report.verdict == PASS:
             report.verdict = INCONCLUSIVE
             report.notes.append("known-true probes hold; the retraction limit "
                                 "itself remains an open question")
@@ -311,7 +300,6 @@ def run_focusing(cfg: Config) -> ExperimentReport:
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
     if nl.sign != "focusing":
         raise ValidationError("nl.sign", "run_focusing needs a focusing nonlinearity")
-    times = list(cfg.t_samples())
     report = _new_report(cfg)
     cols = {name: [] for name in ("t", "E", "M", "h1l2_norm", "sup_norm")}
 
@@ -322,16 +310,14 @@ def run_focusing(cfg: Config) -> ExperimentReport:
         E = trapezoid(dens, grid.dx)
         M = trapezoid(ux * ut, grid.dx)
         _, sup, h1l2 = norms(state, grid, nl)
-        cols["t"].append(state.t)
-        cols["E"].append(E)
-        cols["M"].append(M)
-        cols["h1l2_norm"].append(math.sqrt(h1l2))
-        cols["sup_norm"].append(sup)
+        row = (state.t, E, M, math.sqrt(h1l2), sup)
+        for column, value in zip(cols.values(), row, strict=True):
+            column.append(value)
 
     blowup_time = None
     try:
-        evolve(init, grid, nl, cfg["run.t_end"], observers=[Observer(times, collect)],
-               guard=cfg["run.guard"])
+        evolve(init, grid, nl, cfg["run.t_end"],
+               observers=[Observer(cfg["run.t_samples"], collect)], guard=cfg["run.guard"])
     except BlowUpDetected as exc:
         blowup_time = exc.t
         report.notes.append(f"blow-up detected at t = {exc.t:.6g} "
@@ -370,7 +356,7 @@ def run_concentration(cfg: Config) -> ExperimentReport:
     # the baseline is the sampled grid time nearest run.q_baseline_time,
     # the earliest one on a tie
     t0 = cfg["run.q_baseline_time"]
-    sampled = sorted(steps_for(t, grid.dt) * grid.dt for t in cfg.t_samples())
+    sampled = sorted(steps_for(t, grid.dt) * grid.dt for t in cfg["run.t_samples"])
     t_base = min(sampled, key=lambda t: abs(t - t0))
     spot = {}
 

@@ -53,7 +53,8 @@ class PolygonPath:
     """Simple closed counterclockwise polygon in the (x, t) plane.
 
     Every edge must be parallel to an axis or to a light ray; tags are
-    inferred from the vertex list.  The path is closed automatically.
+    inferred from the vertex list.  The path is closed automatically; a
+    self-crossing or clockwise path is rejected at construction.
     """
 
     def __init__(self, vertices):
@@ -83,6 +84,7 @@ class PolygonPath:
                     "path", f"edge ({x0:.4g},{t0:.4g})->({x1:.4g},{t1:.4g}) is neither "
                     "axis-parallel nor characteristic")
             self.edges.append(Edge(x0, t0, x1, t1, tag))
+        _check_simple(pts)
         if self._signed_area() <= 0.0:
             raise ValidationError("path", "vertices must be ordered counterclockwise")
 
@@ -172,9 +174,9 @@ class TrapezoidReport:
     conservation_gap: float
 
 
-def _check_simple(path: PolygonPath):
+def _check_simple(vertices):
     """Reject self-intersecting paths (exact test on the vertices' float values)."""
-    pts = [(Fraction(x), Fraction(t)) for x, t in path.vertices]
+    pts = [(Fraction(x), Fraction(t)) for x, t in vertices]
     n = len(pts)
 
     def orient(a, b, c):
@@ -266,7 +268,6 @@ def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") ->
             # lattice alignment is part of the path contract at cfl = 1
             grid.index_of(x)
             grid.step_of(t)
-    _check_simple(path)
 
     values = []
     for e in path.edges:

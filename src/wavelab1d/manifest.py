@@ -84,9 +84,8 @@ def rerun_from_manifest(manifest_path, out_dir):
     (criterion: compare the per-file digests of the two manifests).
     """
     from .cli import dispatch
-    from .config import parse_config
+    from .config import parse_text, resolve
 
     m = load_manifest(manifest_path)
-    cfg = parse_config(m.config_text, m.subcommand)
-    dispatch(m.subcommand, cfg, Path(out_dir), quiet=True)
+    dispatch(resolve(m.subcommand, parse_text(m.config_text)), Path(out_dir), quiet=True)
     return Path(out_dir) / MANIFEST_NAME

@@ -60,7 +60,8 @@ def cp_constant(p: float) -> float:
 
     Equals the maximum over z >= 0 of beta(beta+1) z^2/2
     - z^(p+1)/((p+1)(p+2)); the stationary point is bracketed and located
-    by bisection, then the closed form is evaluated there.
+    by bisection, then the closed form is evaluated there.  Raises
+    ``InvalidParams`` where that overflows (p near 1, or p in the thousands).
     """
     if not p > 1.0:
         raise InvalidParams("p", "p must exceed 1")
@@ -71,17 +72,23 @@ def cp_constant(p: float) -> float:
         # derivative of the objective divided by z (same root, better scaled)
         return bb - z ** (p - 1.0) / (p + 2.0)
 
-    # the root sits at ((p+2) beta(beta+1))^(1/(p-1)); bracket around it
-    z_guess = ((p + 2.0) * bb) ** (1.0 / (p - 1.0))
-    lo, hi = 0.5 * z_guess, 2.0 * z_guess
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    return bb * z * z / 2.0 - z ** (p + 1.0) / ((p + 1.0) * (p + 2.0))
+    try:
+        # the root sits at ((p+2) beta(beta+1))^(1/(p-1)); bracket around it
+        z_guess = ((p + 2.0) * bb) ** (1.0 / (p - 1.0))
+        lo, hi = 0.5 * z_guess, 2.0 * z_guess
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        z = 0.5 * (lo + hi)
+        c_p = bb * z * z / 2.0 - z ** (p + 1.0) / ((p + 1.0) * (p + 2.0))
+    except OverflowError:
+        c_p = math.inf
+    if not math.isfinite(c_p):
+        raise InvalidParams("p", f"C_p overflows a float at p = {p!r}")
+    return c_p
 
 
 def potential(params: OdeParams, z, c_p: float | None = None):

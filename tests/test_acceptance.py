@@ -229,7 +229,7 @@ def lp_decay_bounds(cfg, columns):
     """
     p, t_end, dx = cfg["nl.p"], cfg["run.t_end"], cfg["grid.dx"]
     lo, hi = cfg.initial_data().support_interval()
-    t = np.asarray(cfg.t_samples())
+    t = np.asarray(cfg["run.t_samples"])
     ratio = np.asarray(columns["lp_norm"]) / columns["lp_norm"][0]
     return {"ratio": float(ratio[-1]), "floor": 2.0 ** (-p / (p + 1.0)),
             "early_mean": float(ratio[(t > (hi - lo) / 2.0) & (t < t_end / 2.0)].mean()),

@@ -5,7 +5,7 @@ import pytest
 
 from wavelab1d import ValidationError
 from wavelab1d.cli import dispatch, main
-from wavelab1d.config import resolve
+from wavelab1d.config import Config, resolve
 from wavelab1d.manifest import load_manifest, rerun_from_manifest
 from tests_support import read_csv
 
@@ -96,7 +96,8 @@ def test_config_file_and_override_precedence(tmp_path):
 
 def test_dispatch_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(ValidationError):
-        dispatch("nope", resolve("cp-table"), tmp_path / "nope", quiet=True)
+        dispatch(Config("nope", resolve("cp-table").values), tmp_path / "nope", quiet=True)
+    assert not (tmp_path / "nope").exists()
 
 
 @pytest.mark.parametrize("override", ["nl.p=0.5", "grid.cfl=0", "grid.cfl=-0.5",
@@ -212,22 +213,48 @@ def test_selfsimilar_largest_accepted_ray_time_runs(tmp_path):
         resolve("selfsimilar", {}, {"ray.t_list": f"10,{hi!r}"})
 
 
-def test_rerun_from_manifest_byte_identical(tmp_path):
+@pytest.mark.parametrize("subcommand, overrides", [
+    ("simulate", ("grid.dx=0.02", "run.t_end=2", "init.amplitude=0.7")),
+    ("tail", ("grid.dx=0.05", "run.t_end=5")),
+    ("trapezoid", ("grid.dx=0.02", "init.kind=polynomial_bump")),
+    ("cp-table", ("cp.p_values=1.5,4",)),
+], ids=["simulate", "tail", "trapezoid", "cp-table"])
+def test_rerun_from_manifest_byte_identical(tmp_path, subcommand, overrides):
+    # one case per kind of handler: the tool that writes states, a scenario
+    # runner, a tool on a dense trajectory and the pure table
     out1 = tmp_path / "a"
-    assert run_cli(["simulate", "--out-dir", str(out1), "--quiet",
-                    "--override", "grid.dx=0.02",
-                    "--override", "run.t_end=2",
-                    "--override", "init.amplitude=0.7"]) == 0
+    args = [subcommand, "--out-dir", str(out1), "--quiet"]
+    for pair in overrides:
+        args += ["--override", pair]
+    assert run_cli(args) == 0
     out2 = tmp_path / "b"
     rerun_from_manifest(out1 / "manifest.json", out2)
     m1 = load_manifest(out1 / "manifest.json")
     m2 = load_manifest(out2 / "manifest.json")
+    assert m1.subcommand == m2.subcommand == subcommand
+    assert m1.config_text == m2.config_text
     d1 = {o["name"]: o["sha256"] for o in m1.outputs}
     d2 = {o["name"]: o["sha256"] for o in m2.outputs}
     assert d1 == d2
     # and the bytes really are identical on disk
     for name in d1:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, override", [
+    ("cp-table", "cp.p_values=2,1.02"),
+    ("cp-table", "cp.p_values=1e4"),
+    ("selfsimilar", "ode.p=1.027"),
+])
+def test_overflowing_cp_constant_writes_only_the_error(tmp_path, subcommand, override):
+    # C_p overflows a float for p near 1 and for p in the thousands
+    out = tmp_path / "cp"
+    code = run_cli([subcommand, "--out-dir", str(out), "--quiet", "--override", override])
+    assert code == 1
+    assert [path.name for path in out.iterdir()] == ["error.json"]
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_type"] == "InvalidParams"
+    assert err["message"].startswith("p: ")
 
 
 def test_manifest_records_environment_and_old_format_loads(tmp_path):

@@ -1,5 +1,7 @@
 """Scenario smoke tests on coarse grids; the acceptance suite runs the
 production resolutions."""
+from types import MappingProxyType
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,8 @@ def test_concentration_rejects_odd_data():
     cfg = resolve("concentration", {}, {"grid.dx": "0.02"})
     # sneak odd data past the config layer to hit the runtime check
     from wavelab1d.config import Config
-    values = dict(cfg.values)
-    values["init.center"] = 3.0
-    values["init.mirror"] = False
-    bad = Config(subcommand="concentration", values=tuple(sorted(values.items())))
+    bad = Config(subcommand="concentration", values=MappingProxyType(
+        {**cfg.values, "init.center": 3.0, "init.mirror": False}))
     with pytest.raises(EvennessViolated):
         run_concentration(bad)
 

@@ -87,6 +87,14 @@ def test_self_crossing_path_rejected_on_and_off_the_lattice():
             flux_loop(traj, PolygonPath(verts), "plus")
 
 
+def test_self_crossing_path_rejected_at_construction():
+    # the path holds its own invariant: no trajectory is needed to reject it
+    for verts in ([(0.0, 0.0), (0.9, 0.9), (0.0, 0.9), (0.72, 0.18), (0.72, 0.0)],
+                  [(0.005, 0.0), (0.905, 0.9), (0.005, 0.9), (0.725, 0.18), (0.725, 0.0)]):
+        with pytest.raises(ValidationError, match="not simple"):
+            PolygonPath(verts)
+
+
 @pytest.mark.parametrize("slope", [1, -1])
 @pytest.mark.parametrize("which", ["plus", "minus"])
 def test_interpolated_characteristics_converge_at_second_order(slope, which):

@@ -20,7 +20,9 @@ cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
 a blow-up, dense trajectories (one at cfl 0.9, where flux loops interpolate
 between nodes) and zero data.  Two more set every ``init.*`` key that an
 analytic kind reads, which pins the key-to-field mapping of the config's
-initial-data builder.
+initial-data builder.  The last three reach the verdict branches no default
+run takes: ``conjecture``'s inconclusive report (exit 3) and its pass on
+zero data (exit 0), and ``focusing``'s zero-data report (exit 3).
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -65,6 +67,11 @@ EXTRA_RUNS = (
     ("simulate", ("init.width=0.5", "init.center=-0.5", "run.t_end=2")),
     # a dense trajectory interpolated off the cfl = 1 lattice
     ("flux-check", ("grid.cfl=0.9", "flux.h=0.45")),
+    # conjecture's inconclusive and pass reports, focusing's zero-data report
+    ("conjecture", ("grid.dx=0.01", "grid.cfl=0.9", "init.amplitude=6.0",
+                    "init.width=0.25", "probe.offset=0.1", "probe.length=1.0")),
+    ("conjecture", ("init.amplitude=0.0",)),
+    ("focusing", ("init.amplitude=0.0",)),
 )
 
 
