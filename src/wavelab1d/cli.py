@@ -114,8 +114,7 @@ def _run_trapezoid(cfg, out_dir, outputs):
 
 def _run_selfsimilar(cfg, out_dir, outputs):
     params = cfg.ode_params()
-    lim = 1.0 - params.delta
-    samples = np.linspace(-lim, lim, cfg["ode.samples"])
+    samples = np.linspace(-params.y_max, params.y_max, cfg["ode.samples"])
     sol = integrate_profile(params, samples)
     rep = semi_energy(sol, params)
     outputs.append(write_csv(

@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import ParseError, ValidationError
+from .flux import check_which
 from .grid import GridSpec, InitialData, Nonlinearity
+from .selfsimilar import OdeParams, cp_constant
 
 # Each key's default states its type: float, int, bool, str or a tuple of
 # floats.  A bare type marks a value computed during resolution.
@@ -197,8 +199,7 @@ class Config:
         n_cells = int(round((x_max - x_min) / dx))
         return GridSpec(x_min=x_min, x_max=x_max, n_cells=n_cells, cfl=self["grid.cfl"])
 
-    def ode_params(self):
-        from .selfsimilar import OdeParams
+    def ode_params(self) -> OdeParams:
         return OdeParams(p=self["ode.p"], a=self["ode.a"], b=self["ode.b"],
                          delta=self["ode.delta"], tol=self["ode.tol"])
 
@@ -330,8 +331,12 @@ def _validate(cfg: Config):
     if cfg.subcommand in ("decay", "retraction", "conjecture", "concentration", "tail") \
             and d["nl.sign"] == "focusing":
         raise ValidationError("nl.sign", "directional energy scenarios are defocusing")
+    for key in ("flux.which", "trapezoid.which"):
+        if key in d:
+            check_which(d[key], key)
     if "ode.p" in d:
-        cfg.ode_params()
+        # OdeParams names ode.p if p <= 1; C_p must not overflow a float
+        cp_constant(cfg.ode_params().p)
     if "ray.R" in d and not 0.0 < d["ray.R"] < d["ray.R1"]:
         raise ValidationError("ray.R", "need 0 < R < R1")
     if "ray.t_list" in d:
@@ -339,7 +344,7 @@ def _validate(cfg: Config):
         if not ts or ts[0] < 0.0 or any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValidationError("ray.t_list", "need one or more increasing times >= 0")
         # the ray x = t + R starts at y = t / (t + R), where the profile must reach
-        y_max = 1.0 - d["ode.delta"]
+        y_max = cfg.ode_params().y_max
         if any(t / (t + d["ray.R"]) > y_max + 1e-12 for t in ts):
             raise ValidationError("ray.t_list",
                                   f"t / (t + ray.R) must not exceed 1 - ode.delta = {y_max:g}")

@@ -7,19 +7,24 @@ rays, the line integral
 
 vanishes for the exact solution, where (e, e') is either directional pair
 
-    e+ , e'+ = -(1/4)|u_x - u_t|^2 + |u|^(p+1)/(2(p+1))
-    e- , e'- = +(1/4)|u_x + u_t|^2 - |u|^(p+1)/(2(p+1)).
+    e+  = +(1/4)|u_x - u_t|^2 + |u|^(p+1)/(2(p+1))
+    e'+ = -(1/4)|u_x - u_t|^2 + |u|^(p+1)/(2(p+1))
+    e-  = +(1/4)|u_x + u_t|^2 + |u|^(p+1)/(2(p+1))
+    e'- = +(1/4)|u_x + u_t|^2 - |u|^(p+1)/(2(p+1)).
 
-Along characteristic edges the combination simplifies: a right-going ray
-carries |u|^(p+1)/(p+1) for e+ (nonlinear gain) and (1/2)|u_x + u_t|^2 for
-e-, and mirrored for left-going rays.  Edge integrals use composite
-trapezoid quadrature on the lattice; at cfl = 1 characteristic edges sample
-the lattice diagonals exactly.  At cfl < 1 characteristic edges fall between
-nodes and x is interpolated linearly; the closure residual stays second
-order (measured at cfl 0.9 on characteristic parallelograms: 3.4e-6, 8.4e-7,
-2.1e-7 at dx = 0.01, 0.005, 0.0025).  Vertex, edge and trapezoid window
-times must still be lattice times, multiples of dt, or a ValidationError
-names the time.  The default
+A horizontal edge carries e, a vertical edge e'.  Along a right-going ray
+(dx = dt) the integrand is e' + e: |u|^(p+1)/(p+1) for the plus pair
+(nonlinear gain) and (1/2)|u_x + u_t|^2 for the minus pair.  Along a
+left-going ray (dx = -dt) it is e' - e: -(1/2)|u_x - u_t|^2 for plus and
+-|u|^(p+1)/(p+1) for minus.
+
+Edge integrals use composite trapezoid quadrature on the lattice; at
+cfl = 1 characteristic edges sample the lattice diagonals exactly.  At
+cfl < 1 characteristic edges fall between nodes and x is interpolated
+linearly; the closure residual stays second order (measured at cfl 0.9 on
+characteristic parallelograms: 3.4e-6, 8.4e-7, 2.1e-7 at dx = 0.01, 0.005,
+0.0025).  Vertex, edge and trapezoid window times must still be lattice
+times, multiples of dt, or a ValidationError names the time.  The default
 flux-check path (vertex time 0.5) and trapezoid window (t = 1) are not
 lattice times at cfl = 0.9, so those runs exit 1.
 """
@@ -38,6 +43,7 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 RIGHT_CHAR = "right_characteristic"
 LEFT_CHAR = "left_characteristic"
+_SLOPE = {VERTICAL: 0.0, RIGHT_CHAR: 1.0, LEFT_CHAR: -1.0}   # dx/dt along the edge
 
 
 @dataclass(frozen=True)
@@ -85,14 +91,9 @@ class PolygonPath:
                     "axis-parallel nor characteristic")
             self.edges.append(Edge(x0, t0, x1, t1, tag))
         _check_simple(pts)
-        if self._signed_area() <= 0.0:
+        # twice the signed (shoelace) area
+        if sum(e.x0 * e.t1 - e.x1 * e.t0 for e in self.edges) <= 0.0:
             raise ValidationError("path", "vertices must be ordered counterclockwise")
-
-    def _signed_area(self) -> float:
-        area = 0.0
-        for e in self.edges:
-            area += e.x0 * e.t1 - e.x1 * e.t0
-        return 0.5 * area
 
     @property
     def tags(self):
@@ -225,7 +226,21 @@ def _gather(traj: Trajectory, levels, xs):
             ut_a * (1 - th) + ut_b * th)
 
 
-def _characteristic_integrand(u, ux, ut, nl, tag, which):
+def check_which(which: str, field: str = "which"):
+    """Reject a directional pair other than plus or minus, naming ``field``."""
+    if which not in ("plus", "minus"):
+        raise ValidationError(field, "expected plus or minus")
+
+
+def _edge_integrand(u, ux, ut, nl, tag, which):
+    """e' on a vertical edge, e' + e on a right-going ray, e' - e on a left-going one."""
+    if tag == VERTICAL:
+        pot = potential(u, nl) / 2.0
+        if which == "plus":
+            d = ux - ut
+            return -0.25 * d * d + pot
+        s = ux + ut
+        return 0.25 * s * s - pot
     if which == "plus":
         if tag == RIGHT_CHAR:
             return potential(u, nl)
@@ -237,13 +252,10 @@ def _characteristic_integrand(u, ux, ut, nl, tag, which):
     return -potential(u, nl)
 
 
-def _dual_integrand(u, ux, ut, nl, which):
-    pot = potential(u, nl) / 2.0
-    if which == "plus":
-        d = ux - ut
-        return -0.25 * d * d + pot
-    s = ux + ut
-    return 0.25 * s * s - pot
+def _line_integral(traj: Trajectory, levels, xs, tag, which) -> float:
+    """Trapezoid rule in t of the edge integrand at (levels, xs), levels ascending."""
+    u, ux, ut = _gather(traj, levels, xs)
+    return trapezoid(_edge_integrand(u, ux, ut, traj.nl, tag, which), traj.grid.dt)
 
 
 def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") -> FluxReport:
@@ -253,8 +265,7 @@ def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") ->
     smooth defocusing runs.  For the worked-example hexagon the report also
     labels the Q1..Q4 energy-transfer decomposition.
     """
-    if which not in ("plus", "minus"):
-        raise ValidationError("which", "expected plus or minus")
+    check_which(which)
     grid = trajectory.grid
     nl = trajectory.nl
     dt = grid.dt
@@ -279,17 +290,8 @@ def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") ->
         m0, m1 = grid.step_of(e.t0), grid.step_of(e.t1)
         sign = 1.0 if m1 > m0 else -1.0
         levels = np.arange(min(m0, m1), max(m0, m1) + 1)
-        t_vals = levels * dt
-        if e.tag == VERTICAL:
-            xs = np.full(levels.shape, e.x0)
-            u, ux, ut = _gather(trajectory, levels, xs)
-            integrand = _dual_integrand(u, ux, ut, nl, which)
-        else:
-            slope = 1.0 if e.tag == RIGHT_CHAR else -1.0
-            xs = e.x0 + slope * (t_vals - e.t0)
-            u, ux, ut = _gather(trajectory, levels, xs)
-            integrand = _characteristic_integrand(u, ux, ut, nl, e.tag, which)
-        values.append(sign * trapezoid(integrand, dt))
+        xs = e.x0 + _SLOPE[e.tag] * (levels * dt - e.t0)
+        values.append(sign * _line_integral(trajectory, levels, xs, e.tag, which))
 
     residual = float(sum(values))
     q = None
@@ -316,8 +318,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
     |u|^(p+1)/(p+1) for the right-going energy, (1/2)|u_x + u_t|^2 for the
     left-going energy.
     """
-    if which not in ("plus", "minus"):
-        raise ValidationError("which", "expected plus or minus")
+    check_which(which)
     if not t1 < t2:
         raise ValidationError("t1", "need t1 < t2")
     grid = trajectory.grid
@@ -325,6 +326,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
     m1, m2 = trajectory.level_of(t1), trajectory.level_of(t2)
     levels = np.arange(m1, m2 + 1)
     t_vals = levels * grid.dt
+    # t - eta, not flux_loop's x0 + (t - t0): the two round differently off t = 0
     xs = t_vals - eta
     if xs.min() < grid.x_min - 1e-9 or xs.max() > grid.x_max + 1e-9:
         raise RayOutsideDomain(
@@ -337,9 +339,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
     lhs_right = (interval_energy(d1, grid, t1 - eta, grid.x_max, which)
                  - interval_energy(d2, grid, t2 - eta, grid.x_max, which))
 
-    u, ux, ut = _gather(trajectory, levels, xs)
-    integrand = _characteristic_integrand(u, ux, ut, nl, RIGHT_CHAR, which)
-    flux_integral = trapezoid(integrand, grid.dt)
+    flux_integral = _line_integral(trajectory, levels, xs, RIGHT_CHAR, which)
 
     return TrapezoidReport(
         which=which, eta=eta, t1=float(t_vals[0]), t2=float(t_vals[-1]),

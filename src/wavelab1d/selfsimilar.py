@@ -54,6 +54,11 @@ class OdeParams:
     def beta(self) -> float:
         return 2.0 / (self.p - 1.0)
 
+    @property
+    def y_max(self) -> float:
+        """The profile's endpoint: it is integrated on [-y_max, y_max]."""
+        return 1.0 - self.delta
+
 
 def cp_constant(p: float) -> float:
     """Smallest C_p with P(z) >= |z|^(p+1)/(p+2).
@@ -205,12 +210,12 @@ def _stage(f, fp, h, coefficients, ks):
 
 
 def _integrate_side(params: OdeParams, direction: int):
-    """Adaptive sweep from y = 0 towards direction * (1 - delta).
+    """Adaptive sweep from y = 0 towards direction * y_max.
 
-    Returns mesh lists (y, f, fp, fpp) excluding the y = 0 node, plus step
-    counters.
+    Returns one (y, f, fp, fpp) mesh row per accepted step (the y = 0 node
+    excluded), plus step counters.
     """
-    target = direction * (1.0 - params.delta)
+    target = direction * params.y_max
     y = 0.0
     f, fp = params.a, params.b
     tol = params.tol
@@ -221,9 +226,9 @@ def _integrate_side(params: OdeParams, direction: int):
         except OverflowError:   # where numpy gave inf; either rejects the step
             return math.inf
 
-    ys, fs, fps, fpps = [], [], [], []
+    rows = []
     accepted = rejected = 0
-    h = direction * min(1e-3, DENSE_OUTPUT_MAX_STEP)
+    h = direction * 1e-3
     k1 = (fp, rhs(y, f, fp))
     while (target - y) * direction > 1e-13:
         cap = min(ENDPOINT_STEP_FRACTION * (1.0 - abs(y)), DENSE_OUTPUT_MAX_STEP)
@@ -256,36 +261,29 @@ def _integrate_side(params: OdeParams, direction: int):
             f, fp = f5, fp5
             y = y_new
             k1 = ks[6]  # FSAL: last stage equals the derivative at the new point
-            ys.append(y)
-            fs.append(f)
-            fps.append(fp)
-            fpps.append(profile_rhs(params, y, f, fp))
+            rows.append((y, f, fp, profile_rhs(params, y, f, fp)))
             accepted += 1
         else:
             rejected += 1
         factor = 0.9 * err ** (-0.2) if err > 0.0 else 5.0
         h = h * min(5.0, max(0.2, factor))
-    return ys, fs, fps, fpps, accepted, rejected
+    return rows, accepted, rejected
 
 
 def integrate_profile(params: OdeParams, y_samples=None) -> OdeSolution:
-    """Integrate the profile ODE outward from y = 0 to +-(1 - delta).
+    """Integrate the profile ODE outward from y = 0 to +-y_max.
 
     Dense output is evaluated at ``y_samples`` (default: a uniform grid of
     4001 points including both endpoints).  Raises ToleranceNotMet on step
     underflow and InvalidParams for bad parameters.
     """
-    r_ys, r_fs, r_fps, r_fpps, acc_r, rej_r = _integrate_side(params, +1)
-    l_ys, l_fs, l_fps, l_fpps, acc_l, rej_l = _integrate_side(params, -1)
-    fpp0 = profile_rhs(params, 0.0, params.a, params.b)
-    mesh_y = np.array(l_ys[::-1] + [0.0] + r_ys)
-    mesh_f = np.array(l_fs[::-1] + [params.a] + r_fs)
-    mesh_fp = np.array(l_fps[::-1] + [params.b] + r_fps)
-    mesh_fpp = np.array(l_fpps[::-1] + [fpp0] + r_fpps)
+    right, acc_r, rej_r = _integrate_side(params, +1)
+    left, acc_l, rej_l = _integrate_side(params, -1)
+    origin = (0.0, params.a, params.b, profile_rhs(params, 0.0, params.a, params.b))
+    mesh_y, mesh_f, mesh_fp, mesh_fpp = np.array(left[::-1] + [origin] + right).T.copy()
 
     if y_samples is None:
-        lim = 1.0 - params.delta
-        y_samples = np.linspace(-lim, lim, 4001)
+        y_samples = np.linspace(-params.y_max, params.y_max, 4001)
     else:
         y_samples = np.asarray(y_samples, dtype=float)
 
@@ -312,14 +310,13 @@ class SemiEnergyReport:
     asymptotic_trace: np.ndarray
 
 
-def semi_energy(sol: OdeSolution, params: OdeParams | None = None) -> SemiEnergyReport:
+def semi_energy(sol: OdeSolution, params: OdeParams) -> SemiEnergyReport:
     """Evaluate Etilde on the solution samples.
 
-    A_estimate is the value at the largest sampled y (the 1 - delta
-    endpoint for default samples); the asymptotic trace is
-    (1-y)^(1+beta) f'(y), which tends to zero at the endpoint.
+    A_estimate is the value at the largest sampled y (the y_max endpoint
+    for default samples); the asymptotic trace is (1-y)^(1+beta) f'(y),
+    which tends to zero at the endpoint.
     """
-    params = params or sol.params
     beta = params.beta
     c_p = cp_constant(params.p)
     y = sol.y_samples
@@ -347,14 +344,13 @@ class LiftedField:
     u_x: np.ndarray
 
 
-def lift_field(sol: OdeSolution, params: OdeParams | None, t: float, x) -> LiftedField:
+def lift_field(sol: OdeSolution, params: OdeParams, t: float, x) -> LiftedField:
     """Lift the profile to (u, u_t, u_x) on x > t at time t.
 
     u   = x^-beta f(t/x)
     u_t = x^(-beta-1) f'(t/x)
     u_x = -beta x^(-beta-1) f(t/x) - t x^(-beta-2) f'(t/x)
     """
-    params = params or sol.params
     x = np.asarray(x, dtype=float)
     if t < 0.0:
         raise OutOfRange("lift requires t >= 0")
@@ -369,7 +365,7 @@ def lift_field(sol: OdeSolution, params: OdeParams | None, t: float, x) -> Lifte
     return LiftedField(t=t, x=x, u=u, u_t=u_t, u_x=u_x)
 
 
-def ray_energy_decay(sol: OdeSolution, params: OdeParams | None, R: float, R1: float,
+def ray_energy_decay(sol: OdeSolution, params: OdeParams, R: float, R1: float,
                      t_list):
     """Velocity energy between the rays x = t + R and x = t + R1 per time.
 
@@ -377,7 +373,6 @@ def ray_energy_decay(sol: OdeSolution, params: OdeParams | None, R: float, R1: f
     nodes; entries are nonnegative and decay as the window slides up the
     light cone.
     """
-    params = params or sol.params
     if not 0.0 < R < R1:
         raise InvalidParams("R", "need 0 < R < R1")
     ts = [float(t) for t in t_list]

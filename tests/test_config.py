@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wavelab1d.config import SCHEMAS, SUBCOMMANDS, parse_text, resolve
-from wavelab1d.errors import ParseError, ValidationError
+from wavelab1d.errors import InvalidParams, ParseError, ValidationError
 
 
 def test_parse_text_basics():
@@ -65,11 +65,18 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("focusing", "run.guard", "0"), ("tail", "run.margin_cells", "-5"),
     ("tail", "run.R", "-3"), ("cp-table", "cp.p_values", ","),
     ("selfsimilar", "ray.t_list", ","), ("selfsimilar", "ray.t_list", "40,10"),
-    ("selfsimilar", "ray.t_list", "10,10"), ("selfsimilar", "ray.t_list", "-5,10")])
+    ("selfsimilar", "ray.t_list", "10,10"), ("selfsimilar", "ray.t_list", "-5,10"),
+    ("flux-check", "flux.which", "full"), ("trapezoid", "trapezoid.which", "full")])
 def test_out_of_range_values_rejected(subcommand, key, text):
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {key: text})
     assert info.value.field == key
+
+
+def test_overflowing_cp_rejected_at_resolve():
+    # before the profile is integrated, not after
+    with pytest.raises(InvalidParams):
+        resolve("selfsimilar", {}, {"ode.p": "1.027"})
 
 
 def test_sample_times_end_at_t_end_between_sampling_periods():

@@ -20,9 +20,11 @@ cases of the stepper's active window: -0.0 samples, cfl < 1, non-integer p,
 a blow-up, dense trajectories (one at cfl 0.9, where flux loops interpolate
 between nodes) and zero data.  Two more set every ``init.*`` key that an
 analytic kind reads, which pins the key-to-field mapping of the config's
-initial-data builder.  The last three reach the verdict branches no default
+initial-data builder.  Three more reach the verdict branches no default
 run takes: ``conjecture``'s inconclusive report (exit 3) and its pass on
-zero data (exit 0), and ``focusing``'s zero-data report (exit 3).
+zero data (exit 0), and ``focusing``'s zero-data report (exit 3).  The
+final two pin the ray positions of ``trapezoid`` and ``flux-check`` when
+the ray starts at a lattice time t > 0 and falls between nodes (cfl 0.9).
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -72,6 +74,11 @@ EXTRA_RUNS = (
                     "init.width=0.25", "probe.offset=0.1", "probe.length=1.0")),
     ("conjecture", ("init.amplitude=0.0",)),
     ("focusing", ("init.amplitude=0.0",)),
+    # rays that start off t = 0 between nodes: trapezoid's own x = t - eta
+    # and the flux edges' x0 + slope * (t - t0)
+    ("trapezoid", ("grid.cfl=0.9", "trapezoid.t1=0.18", "trapezoid.t2=0.9",
+                   "trapezoid.eta=0.1")),
+    ("flux-check", ("grid.cfl=0.9", "flux.t0=0.18", "flux.h=0.45")),
 )
 
 
