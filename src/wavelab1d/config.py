@@ -336,7 +336,7 @@ def _validate(cfg: Config):
             check_which(d[key], key)
     if "ode.p" in d:
         # OdeParams names ode.p if p <= 1; C_p must not overflow a float
-        cp_constant(cfg.ode_params().p)
+        cp_constant(cfg.ode_params().p, "ode.p")
     if "ray.R" in d and not 0.0 < d["ray.R"] < d["ray.R1"]:
         raise ValidationError("ray.R", "need 0 < R < R1")
     if "ray.t_list" in d:
@@ -354,4 +354,5 @@ def _validate(cfg: Config):
         for p in d["cp.p_values"]:
             if not p > 1.0:
                 raise ValidationError("cp.p_values", "p must exceed 1")
+            cp_constant(p, "cp.p_values")
 

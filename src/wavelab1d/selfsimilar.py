@@ -60,16 +60,17 @@ class OdeParams:
         return 1.0 - self.delta
 
 
-def cp_constant(p: float) -> float:
+def cp_constant(p: float, field: str = "p") -> float:
     """Smallest C_p with P(z) >= |z|^(p+1)/(p+2).
 
     Equals the maximum over z >= 0 of beta(beta+1) z^2/2
     - z^(p+1)/((p+1)(p+2)); the stationary point is bracketed and located
     by bisection, then the closed form is evaluated there.  Raises
-    ``InvalidParams`` where that overflows (p near 1, or p in the thousands).
+    ``InvalidParams`` naming ``field`` where that overflows (p near 1, or p
+    in the thousands).
     """
     if not p > 1.0:
-        raise InvalidParams("p", "p must exceed 1")
+        raise InvalidParams(field, "p must exceed 1")
     beta = 2.0 / (p - 1.0)
     bb = beta * (beta + 1.0)
 
@@ -92,7 +93,7 @@ def cp_constant(p: float) -> float:
     except OverflowError:
         c_p = math.inf
     if not math.isfinite(c_p):
-        raise InvalidParams("p", f"C_p overflows a float at p = {p!r}")
+        raise InvalidParams(field, f"C_p overflows a float at p = {p!r}")
     return c_p
 
 

@@ -254,7 +254,7 @@ def test_overflowing_cp_constant_writes_only_the_error(tmp_path, subcommand, ove
     assert [path.name for path in out.iterdir()] == ["error.json"]
     err = json.loads((out / "error.json").read_text())
     assert err["error_type"] == "InvalidParams"
-    assert err["message"].startswith("p: ")
+    assert err["message"].startswith(override.split("=")[0] + ": C_p overflows")
 
 
 def test_manifest_records_environment_and_old_format_loads(tmp_path):

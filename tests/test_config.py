@@ -66,7 +66,10 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("tail", "run.R", "-3"), ("cp-table", "cp.p_values", ","),
     ("selfsimilar", "ray.t_list", ","), ("selfsimilar", "ray.t_list", "40,10"),
     ("selfsimilar", "ray.t_list", "10,10"), ("selfsimilar", "ray.t_list", "-5,10"),
-    ("flux-check", "flux.which", "full"), ("trapezoid", "trapezoid.which", "full")])
+    ("flux-check", "flux.which", "full"), ("trapezoid", "trapezoid.which", "full"),
+    # C_p overflows a float
+    ("selfsimilar", "ode.p", "1.027"), ("cp-table", "cp.p_values", "2,1.02"),
+    ("cp-table", "cp.p_values", "1e4")])
 def test_out_of_range_values_rejected(subcommand, key, text):
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {key: text})

@@ -169,6 +169,54 @@ def march(*args, **kwargs):
         return evolve(*args, **kwargs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_cells=st.integers(3, 60), cfl=st.sampled_from([1.0, 0.9, 0.5]),
+       p=st.sampled_from([2.0, 2.5, 3.0, 5.0]),
+       sign=st.sampled_from(["defocusing", "focusing", "disabled"]),
+       n_steps=st.integers(1, 40), guard_frac=st.sampled_from([None, 0.9, 0.999, math.inf]))
+def test_mirror_path_matches_full_grid_reference(data, n_cells, cfl, p, sign, n_steps,
+                                                 guard_frac):
+    # palindromic data, mirrored from a random half: the half-lattice loop
+    # against the full-grid loop at every level, blow-ups included; then the
+    # same data with one sign bit of u0 or u1 flipped, so that level 0 or
+    # maybe level 1 is no palindrome and the full-grid path runs
+    g = GridSpec(-20.0, 20.0, n_cells, cfl=cfl)
+    n = g.n_nodes
+    h = (n + 1) // 2
+    halves = []
+    for _ in range(2):
+        half = np.zeros(h)
+        for j in data.draw(st.lists(st.integers(0, h - 1), max_size=8)):
+            half[j] = data.draw(SIGNED_SAMPLES)
+        halves.append(np.concatenate((half, half[:n - h][::-1])))
+    nl = Nonlinearity(p=p, sign=sign)
+    runs = [halves]
+    for i in range(2):
+        flipped = [arr.copy() for arr in halves]
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: 2 * j != n - 1))
+        flipped[i][j] = -flipped[i][j]
+        runs.append(flipped)
+    for flips, (u0, u1) in enumerate(runs):
+        init = InitialData.explicit(u0, u1)
+        args = (init, g, nl, n_steps * g.dt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            level1 = solver._start_level(u0, u1, init, g, nl)
+            guard = math.inf if guard_frac == math.inf else 1e8
+            levels = with_full_grid(level_bytes, march, *args, guard=guard)
+            if guard_frac not in (None, math.inf) and levels[0] != "blowup":
+                later = max(np.abs(np.frombuffer(u_bytes)).max() for _, u_bytes, _ in levels[1:])
+                guard = max(guard_frac * later, np.nextafter(np.abs(u0).max(), np.inf))
+                levels = with_full_grid(level_bytes, march, *args, guard=guard)
+            with mock.patch.object(solver, "_aligned_zeros",
+                                   wraps=solver._aligned_zeros) as spy:
+                assert level_bytes(march, *args, guard=guard) == levels
+        mirrored = n > 3 and all(a.tobytes() == a[::-1].tobytes() for a in (u0, level1))
+        assert mirrored or flips or n == 3  # the unflipped data take the half path
+        if levels[0] != "blowup" or levels[1] > 0.0:
+            lengths = {h + 1} if mirrored else {n}
+            assert {call.args[0] for call in spy.call_args_list} == lengths
+
+
 @pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
 @pytest.mark.parametrize("p", [3.0, 2.5])
 def test_aligned_window_clamps_at_both_grid_edges(cfl, p):

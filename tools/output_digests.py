@@ -23,8 +23,11 @@ analytic kind reads, which pins the key-to-field mapping of the config's
 initial-data builder.  Three more reach the verdict branches no default
 run takes: ``conjecture``'s inconclusive report (exit 3) and its pass on
 zero data (exit 0), and ``focusing``'s zero-data report (exit 3).  The
-final two pin the ray positions of ``trapezoid`` and ``flux-check`` when
+next two pin the ray positions of ``trapezoid`` and ``flux-check`` when
 the ray starts at a lattice time t > 0 and falls between nodes (cfl 0.9).
+The last one steps even data on an even node count, so the stepper's
+half-lattice path runs with its ghost node mirroring the last stepped node
+(every other mirror-symmetric run has an odd node count).
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -79,6 +82,9 @@ EXTRA_RUNS = (
     ("trapezoid", ("grid.cfl=0.9", "trapezoid.t1=0.18", "trapezoid.t2=0.9",
                    "trapezoid.eta=0.1")),
     ("flux-check", ("grid.cfl=0.9", "flux.t0=0.18", "flux.h=0.45")),
+    # even data on an even node count (12,002): the stepper's ghost node
+    # mirrors the last stepped node
+    ("simulate", ("grid.x_min=-12.001", "grid.x_max=12.001")),
 )
 
 
