@@ -93,7 +93,9 @@ mutable state.
 """
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -302,6 +304,20 @@ def _aligned_zeros(n):
     return raw[start:start + n]
 
 
+def _lazy_zeros(shape):
+    """+0.0 float64 array in a private anonymous mapping without huge pages,
+    so only the pages written to become resident (``Trajectory``)."""
+    anonymous = getattr(mmap, "MAP_ANONYMOUS", None)
+    if anonymous is None:
+        return np.zeros(shape)
+    buf = mmap.mmap(-1, math.prod(shape) * 8, flags=mmap.MAP_PRIVATE | anonymous)
+    no_huge_pages = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if no_huge_pages is not None:
+        with contextlib.suppress(OSError):      # a kernel without huge pages
+            buf.madvise(no_huge_pages)
+    return np.frombuffer(buf).reshape(shape)
+
+
 def _guard_check(u, t, guard, scratch):
     """sup |u|; raises BlowUpDetected(t, sup) unless it is below the guard."""
     if not u.size:
@@ -327,6 +343,19 @@ class Trajectory:
     other velocity is recomputed from the same operands by the stepper's own
     ``_velocity``, so ``state`` and ``pointwise`` return the stepper's
     velocities bit for bit.
+
+    Only the data's lattice cone of ``u_levels`` is resident.  The array
+    lives in a private anonymous mapping with transparent huge pages off:
+    its untouched pages read as +0.0 through the kernel's shared zero page
+    and count toward no process's resident memory.  Each level writes only
+    its bitwise nonzero extent, from the first to the last node whose bits
+    are not +0.0 (-0.0 and NaN inside it are copied); every bit outside it
+    is +0.0, which the mapping already holds.  ``np.zeros`` would not do:
+    numpy advises huge pages for large arrays, so the first write into any
+    2 MB region makes the whole region resident.  Nor would a shared
+    mapping: it is shmem, whose holes become resident pages when read, as
+    the consumers' full-row reads do.  Without anonymous mappings
+    ``u_levels`` is ``np.zeros``, with the same bits, all resident.
     """
 
     def __init__(self, grid: GridSpec, nl: Nonlinearity, times, u_levels, v_levels):
@@ -343,12 +372,17 @@ class Trajectory:
                t_end: float, guard: float = DEFAULT_BLOWUP_GUARD) -> "Trajectory":
         n_steps = steps_for(t_end, grid.dt)
         times = np.arange(n_steps + 1) * grid.dt
-        u_levels = np.empty((n_steps + 1, grid.n_nodes))
+        u_levels = _lazy_zeros((n_steps + 1, grid.n_nodes))
         v_levels = np.empty((2, grid.n_nodes))
 
         def store(state):
             step = grid.step_of(state.t)
-            u_levels[step] = state.u
+            # one byte per node: the first and last node whose bits are not +0.0
+            bits = (state.u.view(np.int64) != 0).tobytes()
+            i = bits.find(1)
+            if i >= 0:
+                j = bits.rfind(1) + 1
+                u_levels[step, i:j] = state.u[i:j]
             if step == 0:
                 v_levels[0] = state.v
             if step == n_steps:

@@ -78,13 +78,19 @@ def test_flux_residual_second_order(traj_coarse, traj_fine):
 
 def test_self_crossing_path_rejected_on_and_off_the_lattice():
     # one shape twice at cfl 0.9: vertices on nodes, and shifted half a cell
-    # off them; the diagonal edge crosses the last vertical edge in both
+    # off them; the left characteristic crosses the right one in both.  The
+    # triangle of its first three vertices and the quadrilateral of the
+    # others, reversed to run counterclockwise, close on the same trajectory
     g = GridSpec(-2.6, 2.6, 520, cfl=0.9)
     traj = Trajectory.record(BUMP, g, P3, 1.0)
     for verts in ([(0.0, 0.0), (0.9, 0.9), (0.0, 0.9), (0.72, 0.18), (0.72, 0.0)],
                   [(0.005, 0.0), (0.905, 0.9), (0.005, 0.9), (0.725, 0.18), (0.725, 0.0)]):
         with pytest.raises(ValidationError, match="not simple"):
             flux_loop(traj, PolygonPath(verts), "plus")
+        for piece in (verts[:3], verts[:1] + verts[:1:-1]):
+            for which in ("plus", "minus"):
+                rep = flux_loop(traj, PolygonPath(piece), which)
+                assert abs(rep.closure_residual) <= 10.0 * g.dx ** 2, (piece, which)
 
 
 def test_self_crossing_path_rejected_at_construction():

@@ -1,4 +1,5 @@
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -434,6 +435,96 @@ def test_trajectory_velocities_are_the_steppers_bits(cfl, p, t_end):
         assert ut.tobytes() == np.array([emitted[-1][0], emitted[0][0]]).tobytes()
         with pytest.raises(IndexError):
             traj.pointwise([-traj.n_levels - 1], [0])
+
+
+def _whole_rows(init, g, nl, t_end, **kwargs):
+    """Every emitted state.u written whole into a dense array: the store's reference."""
+    rows = np.empty((solver.steps_for(t_end, g.dt) + 1, g.n_nodes))
+
+    def store(state):
+        rows[g.step_of(state.t)] = state.u
+
+    evolve(init, g, nl, t_end, observers=[every_level(g, t_end, store)], **kwargs)
+    return rows
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("t_end", [1.0, 0.0])
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+def test_trajectory_store_matches_whole_rows(cfl, t_end, lazy, monkeypatch):
+    # the extent-only store in the lazily zeroed mapping (or in np.zeros where
+    # anonymous mappings are missing): -0.0 outside the negative bump's
+    # support, the moving gaussian's full path, the mirrored bump's half
+    # path, and zero data, of which nothing is written
+    if not lazy:
+        monkeypatch.delattr(solver.mmap, "MAP_ANONYMOUS", raising=False)
+    g = GridSpec(-8.0, 8.0, 800, cfl=cfl)
+    for name in ("negative_bump", "moving_gaussian", "mirrored_bump", "zero"):
+        init = WINDOW_DATA[name]
+        traj = Trajectory.record(init, g, P3, t_end)
+        expected = _whole_rows(init, g, P3, t_end)
+        assert traj.u_levels.shape == expected.shape and traj.u_levels.dtype == np.float64
+        assert traj.u_levels.nbytes == expected.nbytes
+        assert traj.u_levels.tobytes() == expected.tobytes(), name
+        assert traj.u_levels.flags.c_contiguous and not traj.u_levels.flags.writeable
+        if name == "negative_bump":
+            assert np.signbit(expected[0][expected[0] == 0.0]).any()
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+def test_trajectory_record_raises_the_steppers_blowup(cfl):
+    # a guard trip mid-record: the focusing mirrored bump at the default
+    # guard, and at the sup it reaches at t = 0.2
+    g = GridSpec(-8.0, 8.0, 800, cfl=cfl)
+    focusing = Nonlinearity(p=3.0, sign="focusing")
+    init = WINDOW_DATA["mirrored_bump"]
+    sups = np.abs(_whole_rows(init, g, focusing, 0.2)).max(axis=1)
+    for t_end, guard in ((1.5, solver.DEFAULT_BLOWUP_GUARD), (1.0, float(sups[-1]))):
+        expected = level_bytes(evolve, init, g, focusing, t_end, guard=guard)
+        assert expected[0] == "blowup" and 0.0 < expected[1] < t_end
+        with pytest.raises(BlowUpDetected) as info:
+            Trajectory.record(init, g, focusing, t_end, guard=guard)
+        assert ("blowup", info.value.t, float(info.value.sup_value).hex()) == expected
+
+
+def _vm_rss():
+    """Resident bytes of this process."""
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("VmRSS:"))
+    return int(line.split()[1]) * 1024
+
+
+def _vm_flags(address):
+    """The VmFlags of the mapping that starts at ``address`` (empty if none does)."""
+    start = None
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head = line.split(" ", 1)[0]
+            if "-" in head and ":" not in head:
+                start = int(head.split("-")[0], 16)
+            elif line.startswith("VmFlags:") and start == address:
+                return line.split()[1:]
+    return []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+def test_trajectory_keeps_only_the_cone_resident():
+    # a narrow bump in a wide box: 310 MB of levels, about 3% of them in the
+    # lattice cone; storing the cone and reading every level leave the rest
+    # of the array unresident
+    g = GridSpec(-10.0, 10.0, 44_000)
+    init = InitialData.polynomial_bump(amplitude=1.0, radius=0.1)
+    before = _vm_rss()
+    traj = Trajectory.record(init, g, P3, 0.4)
+    recorded = _vm_rss()
+    total = float(traj.u_levels.sum())
+    read = _vm_rss()
+    nbytes = traj.u_levels.nbytes
+    assert nbytes > 3e8 and total > 0.0
+    assert recorded - before < nbytes / 4
+    assert read - recorded < nbytes / 20
+    if os.path.exists("/sys/kernel/mm/transparent_hugepage/enabled"):
+        assert "nh" in _vm_flags(traj.u_levels.ctypes.data)
 
 
 def test_convergence_order_against_oracle():

@@ -38,7 +38,10 @@ a list of times; and ``morawetz_accumulator``.  Then come the oracles at
 inputs off the CLI defaults: brute-force Q on 3,000 seeded points, some
 with zero weight (three 1024-row blocks); ``integrate_profile`` with
 ``semi_energy`` at p = 2.5 and at p = 5 with f'(0) != 0; and
-``morawetz_accumulator`` on a negative bump, which samples to -0.0.
+``morawetz_accumulator`` on a negative bump, which samples to -0.0.  The
+last two lines digest the ``u_levels`` that ``Trajectory.record`` stores:
+the negative bump at cfl 0.9, and mirrored data at cfl 1, which the stepper
+evolves on half the lattice.
 """
 from __future__ import annotations
 
@@ -159,6 +162,14 @@ def oracle_digests():
                              GridSpec(-4.0, 4.0, 400), Nonlinearity(p=3.0), 1.5)
     label = "morawetz_accumulator[polynomial_bump amplitude=-0.8 defocusing t_max=1.5]"
     yield f"{_sha(np.float64(morawetz_accumulator(traj, 1.5)))}  {label}"
+    # the stored levels themselves, written only over each level's nonzero extent
+    runs = (("amplitude=-0.8 cfl=0.9", InitialData.polynomial_bump(amplitude=-0.8), 0.9),
+            ("amplitude=3 center=1 mirror cfl=1",
+             InitialData.polynomial_bump(amplitude=3.0, center=1.0, mirror=True), 1.0))
+    for name, init, cfl in runs:
+        traj = Trajectory.record(init, GridSpec(-4.0, 4.0, 400, cfl=cfl), nl, 1.5)
+        label = f"Trajectory.record[polynomial_bump {name} defocusing t_end=1.5]"
+        yield f"{_sha(traj.u_levels)}  {label}/u_levels"
 
 
 if __name__ == "__main__":
