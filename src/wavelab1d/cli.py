@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SUBCOMMANDS, parse_text, resolve
-from .csvio import write_csv, write_json
+from .csvio import render, write_csv, write_json
 from .energy import compute_densities, cone_energy, conserved_pair
 from .errors import ValidationError, WaveLabError
 from .experiments import RUNNERS, PASS, FAIL, INCONCLUSIVE
@@ -43,7 +43,7 @@ def _run_experiment(cfg, out_dir, outputs):
     report = RUNNERS[subcommand](cfg)
     # every runner's columns start with "t"
     outputs.append(write_csv(out_dir / f"{subcommand}_series.csv",
-                             list(report.columns), zip(*report.columns.values())))
+                             list(report.columns), report.columns.values()))
     outputs.append(write_json(out_dir / f"{subcommand}_report.json",
                               report.to_json_dict()))
     return report.verdict
@@ -71,10 +71,11 @@ def _run_simulate(cfg, out_dir, outputs):
         raise ValidationError("run.t_samples", "sample times too close to be told "
                               "apart in state file names (6 significant digits)")
     diag_rows = []
+    x_text = render(grid.nodes)     # the x column of every state file
 
     def collect(state: FieldState):
         outputs.append(write_csv(out_dir / _state_name(state.t), ["x", "u", "v"],
-                                 zip(grid.nodes, state.u, state.v)))
+                                 (x_text, state.u, state.v)))
         if nl.sign != "focusing":
             d = compute_densities(state, grid, nl)
             E, M, Ep, Em = conserved_pair(d, grid)
@@ -85,7 +86,7 @@ def _run_simulate(cfg, out_dir, outputs):
            guard=cfg["run.guard"])
     outputs.append(write_csv(out_dir / "diagnostics.csv",
                              ["t", "E", "M", "E_plus", "E_minus", "E_cone_eta", "Q"],
-                             diag_rows))
+                             list(zip(*diag_rows))))
     return PASS
 
 
@@ -119,11 +120,12 @@ def _run_selfsimilar(cfg, out_dir, outputs):
     rep = semi_energy(sol, params)
     outputs.append(write_csv(
         out_dir / "profile.csv", ["y", "f", "fprime", "Etilde", "asymptotic_trace"],
-        zip(sol.y_samples, sol.f_samples, sol.fprime_samples,
-            rep.Etilde_samples, rep.asymptotic_trace)))
+        (sol.y_samples, sol.f_samples, sol.fprime_samples,
+         rep.Etilde_samples, rep.asymptotic_trace)))
     rows = ray_energy_decay(sol, params, cfg["ray.R"], cfg["ray.R1"],
                             cfg["ray.t_list"])
-    outputs.append(write_csv(out_dir / "ray_decay.csv", ["t", "ray_energy"], rows))
+    outputs.append(write_csv(out_dir / "ray_decay.csv", ["t", "ray_energy"],
+                             list(zip(*rows))))
     et = rep.Etilde_samples[sol.y_samples >= 0.0]
     tol = cfg["thresholds.semi_energy_mono"] * (abs(et[0]) + 1.0)
     monotone = bool(np.all(np.diff(et) <= tol))
@@ -138,7 +140,8 @@ def _run_selfsimilar(cfg, out_dir, outputs):
 
 def _run_cp_table(cfg, out_dir, outputs):
     rows = [(p, 2.0 / (p - 1.0), cp_constant(p)) for p in cfg["cp.p_values"]]
-    outputs.append(write_csv(out_dir / "cp_table.csv", ["p", "beta", "C_p"], rows))
+    outputs.append(write_csv(out_dir / "cp_table.csv", ["p", "beta", "C_p"],
+                             list(zip(*rows))))
     return PASS
 
 

@@ -27,6 +27,10 @@ a block of rows at a time and, for each half-width m from high to low, adds
 that term to every row of the block that has one.  Row k meets its terms
 in the order above, and every element gets the same operations on the same
 operands, so blocking changes the schedule and not one bit of the result.
+Each W is subtracted into a row of a block-sized window whose rows start on
+64-byte cache lines (``grid.aligned_zeros``): at 6,001 nodes the rows of an
+unpadded window are 8n bytes apart, so 7 of 8 start off a line, where an
+out-of-place ufunc costs up to about twice as much per element.
 Data that are all +0.0 (every Picard iteration starts there) give
 scale * 0.0 on rows 1..K and +0.0 on row 0 without any sums, which is what
 the sums would give.
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoContraction, NonConvergence, ValidationError
-from .grid import FieldState, GridSpec, InitialData, Nonlinearity
+from .grid import FieldState, GridSpec, InitialData, Nonlinearity, aligned_zeros
 
 DEFAULT_TOL_FIXED_POINT = 1e-12
 DEFAULT_MAX_ITERATIONS = 200
@@ -104,7 +108,8 @@ def linear_part(init: InitialData, grid: GridSpec, K: int) -> np.ndarray:
 
 
 # rows of the result computed together: of 4, 6, 8, 12, 16 and 32 rows, 8 was
-# fastest at 6,001 nodes, where the block and its window temporary fit in L2
+# fastest at 6,001 nodes, where the block and its window fit in L2 (with and
+# without the window's rows on cache lines)
 _ROW_BLOCK = 8
 
 
@@ -131,7 +136,7 @@ def nonlinear_integral(levels: np.ndarray, nl: Nonlinearity, dx: float) -> np.nd
     C = np.zeros((K, K + n + 1 + K))
     np.cumsum(gbar, axis=1, out=C[:, K + 1:K + n + 1])
     C[:, K + n + 1:] = C[:, K + n:K + n + 1]
-    window = np.empty((_ROW_BLOCK, n))
+    window = aligned_zeros(_ROW_BLOCK, n)
     for k0 in range(1, K + 1, _ROW_BLOCK):
         k1 = min(k0 + _ROW_BLOCK, K + 1)
         np.subtract(C[k0 - 1:k1 - 1, K + 1:K + n + 1], C[k0 - 1:k1 - 1, K:K + n],

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .grid import FieldState, GridSpec, Nonlinearity, sample_derivatives
+from .grid import FieldState, GridSpec, Nonlinearity, bit_extent, sample_derivatives
 
 
 def trapezoid(y, dx: float) -> float:
@@ -198,10 +198,10 @@ def morawetz_accumulator(trajectory, t_max: float) -> float:
         t = float(trajectory.times[m])
         u = trajectory.u_levels[m]
         # u = ±0.0 gives a +0.0 integrand, so pow runs only from the first to
-        # the last node that is not ±0.0 (NaN is nonzero); the rule still
-        # sums the whole row, whose summation order sets the bits
-        nonzero = np.flatnonzero(u)
-        lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+        # the last node whose bits are not +0.0 (-0.0 at the ends writes the
+        # +0.0 that f holds); the rule still sums the whole row, whose
+        # summation order sets the bits
+        lo, hi = bit_extent(u)
         w = ((t + 1.0) ** 2 - xx[lo:hi]) / (t + 1.0) ** 3
         np.clip(w, 0.0, None, out=w)
         np.multiply(w, np.abs(u[lo:hi]) ** (p + 1.0), out=f[lo:hi])

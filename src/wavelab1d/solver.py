@@ -102,7 +102,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BlowUpDetected, DomainTooSmall, ValidationError
-from .grid import FieldState, GridSpec, InitialData, Nonlinearity, stencil_ux
+from .grid import (FieldState, GridSpec, InitialData, Nonlinearity, aligned_zeros, bit_extent,
+                   stencil_ux)
 
 DEFAULT_BLOWUP_GUARD = 1e8
 
@@ -225,7 +226,7 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     else:
         h, whole = n_nodes - 1, np.copy
     mirror = n_nodes - 1 - h
-    u_prev, u_cur, u_next, work, tmp, v_buf = (_aligned_zeros(h + 1) for _ in range(6))
+    u_prev, u_cur, u_next, work, tmp, v_buf = aligned_zeros(6, h + 1)
     u_prev[:] = u0[:h + 1]
     u_cur[:] = level1[:h + 1]
 
@@ -295,13 +296,6 @@ def _is_palindrome(a):
     """Whether ``a`` reads the same reversed, bit for bit (-0.0 and NaN included)."""
     bits = a.view(np.int64)
     return np.array_equal(bits, bits[::-1])
-
-
-def _aligned_zeros(n):
-    """n float64 +0.0 values starting on a 64-byte cache line."""
-    raw = np.zeros(n + 8)
-    start = (-raw.ctypes.data % 64) // 8
-    return raw[start:start + n]
 
 
 def _lazy_zeros(shape):
@@ -377,12 +371,8 @@ class Trajectory:
 
         def store(state):
             step = grid.step_of(state.t)
-            # one byte per node: the first and last node whose bits are not +0.0
-            bits = (state.u.view(np.int64) != 0).tobytes()
-            i = bits.find(1)
-            if i >= 0:
-                j = bits.rfind(1) + 1
-                u_levels[step, i:j] = state.u[i:j]
+            i, j = bit_extent(state.u)
+            u_levels[step, i:j] = state.u[i:j]
             if step == 0:
                 v_levels[0] = state.v
             if step == n_steps:

@@ -177,19 +177,37 @@ def _nan_poked(traj):
     return Trajectory(traj.grid, traj.nl, traj.times, u_levels, traj.v_levels)
 
 
+def _negative_zero_ends():
+    """A recorded bump whose rows carry -0.0 just outside their nonzero nodes;
+    row 2 holds only -0.0 and +0.0, so its bit extent is not empty."""
+    traj = Trajectory.record(InitialData.polynomial_bump(amplitude=0.5),
+                             GridSpec(-4.0, 4.0, 400), P3, 1.5)
+    u_levels = traj.u_levels.copy()
+    for u in u_levels:
+        nonzero = np.flatnonzero(u)
+        u[[nonzero[0] - 3, nonzero[-1] + 2]] = -0.0
+    u_levels[2] = 0.0
+    u_levels[2, [40, 41, 350]] = -0.0
+    return Trajectory(traj.grid, traj.nl, traj.times, u_levels, traj.v_levels)
+
+
+def _recorded(init, nl):
+    return lambda: Trajectory.record(init, GridSpec(-4.0, 4.0, 400), nl, 1.5)
+
+
 _MORAWETZ_RUNS = {
     # a negative bump samples to -0.0 outside its support
-    "negative bump": (InitialData.polynomial_bump(amplitude=-0.8), P3),
-    "focusing": (InitialData.polynomial_bump(amplitude=0.5),
-                 Nonlinearity(p=3.0, sign="focusing")),
-    "zero": (InitialData.zero(), P3),
+    "negative bump": _recorded(InitialData.polynomial_bump(amplitude=-0.8), P3),
+    "focusing": _recorded(InitialData.polynomial_bump(amplitude=0.5),
+                          Nonlinearity(p=3.0, sign="focusing")),
+    "zero": _recorded(InitialData.zero(), P3),
+    "-0.0 extent ends": _negative_zero_ends,
 }
 
 
 @pytest.mark.parametrize("name", sorted(_MORAWETZ_RUNS))
 def test_morawetz_bits_match_full_row_reference(name):
-    init, nl = _MORAWETZ_RUNS[name]
-    traj = Trajectory.record(init, GridSpec(-4.0, 4.0, 400), nl, 1.5)
+    traj = _MORAWETZ_RUNS[name]()
     for t_max in (0.0, 0.52, 1.5):
         got = morawetz_accumulator(traj, t_max)
         assert got.hex() == full_row_morawetz(traj, t_max).hex()

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavelab1d import (GridSpec, InitialData, Nonlinearity, ValidationError,
                        sample_derivatives)
-from wavelab1d.grid import FieldState
+from wavelab1d.grid import FieldState, aligned_zeros, bit_extent
 
 
 def test_nonlinearity_validation():
@@ -108,3 +110,36 @@ def test_derivative_accuracy_sine():
     state = FieldState(t=0.0, u=np.sin(g.nodes), v=np.zeros(g.n_nodes))
     ux, _ = sample_derivatives(state, g)
     assert np.abs(ux - np.cos(g.nodes)).max() <= 1e-6
+
+
+def test_aligned_zeros_rows_start_on_cache_lines():
+    # every n % 8, and the Picard oracle's 6,001 nodes
+    for n in [*range(8, 16), 0, 1, 6001]:
+        for n_rows in range(1, 10):
+            a = aligned_zeros(n_rows, n)
+            assert a.shape == (n_rows, n) and a.dtype == np.float64
+            for row in a:
+                assert row.ctypes.data % 64 == 0 or n == 0, (n, n_rows)
+                assert not row.view(np.int64).any()     # +0.0, not -0.0
+            # the rows do not overlap: filling one leaves the others +0.0
+            a[0] = -1.0
+            assert not a[1:].view(np.int64).any(), (n, n_rows)
+
+
+# -0.0, NaN and +0.0 in runs, so extents start and end on each of them
+EXTENT_VALUES = st.sampled_from([0.0, 0.0, 0.0, -0.0, math.nan, 1.0, -2.5, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=arrays(np.float64, st.integers(0, 80), elements=EXTENT_VALUES))
+def test_bit_extent_matches_flatnonzero_of_the_bits(u):
+    nonzero = np.flatnonzero(u.view(np.int64) != 0)
+    expected = (int(nonzero[0]), int(nonzero[-1]) + 1) if nonzero.size else (0, 0)
+    assert bit_extent(u) == expected
+
+
+def test_bit_extent_counts_negative_zero_where_flatnonzero_does_not():
+    u = np.zeros(10)
+    assert bit_extent(u) == (0, 0)
+    u[[2, 7]] = -0.0
+    assert np.flatnonzero(u).size == 0 and bit_extent(u) == (2, 8)

@@ -25,9 +25,11 @@ run takes: ``conjecture``'s inconclusive report (exit 3) and its pass on
 zero data (exit 0), and ``focusing``'s zero-data report (exit 3).  The
 next two pin the ray positions of ``trapezoid`` and ``flux-check`` when
 the ray starts at a lattice time t > 0 and falls between nodes (cfl 0.9).
-The last one steps even data on an even node count, so the stepper's
+The next one steps even data on an even node count, so the stepper's
 half-lattice path runs with its ghost node mirroring the last stepped node
-(every other mirror-symmetric run has an odd node count).
+(every other mirror-symmetric run has an odd node count).  The last one
+simulates focusing data, which write state files and a header-only
+``diagnostics.csv``.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -88,6 +90,8 @@ EXTRA_RUNS = (
     # even data on an even node count (12,002): the stepper's ghost node
     # mirrors the last stepped node
     ("simulate", ("grid.x_min=-12.001", "grid.x_max=12.001")),
+    # focusing data have no energy diagnostics: a header-only diagnostics.csv
+    ("simulate", ("nl.sign=focusing", "init.amplitude=0.5", "run.t_end=1")),
 )
 
 
