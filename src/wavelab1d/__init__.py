@@ -14,7 +14,7 @@ from .errors import (BlowUpDetected, DomainTooSmall, EvennessViolated,
 from .grid import (FieldState, GridSpec, InitialData, Nonlinearity,
                    sample_derivatives)
 from .solver import Observer, Trajectory, evolve
-from .dalembert import dalembert_oracle, evolve_by_dalembert, picard_fixed_point
+from .dalembert import evolve_by_dalembert, picard_fixed_point
 from .energy import (EnergyDensities, compute_densities, cone_energy,
                      conserved_pair, interval_energy, light_cone_energy,
                      morawetz_accumulator)

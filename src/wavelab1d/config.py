@@ -265,6 +265,20 @@ def _resolve_derived(subcommand: str, values: dict):
         raise ValidationError("grid.cfl", "cfl in (0,1]")
     if "run.t_end" in values and values["run.t_end"] < 0.0:
         raise ValidationError("run.t_end", "must be nonnegative")
+    # the flux hexagon and the trapezoid window, checked before a trajectory
+    # is sized for them
+    if "flux.h" in values:
+        if not values["flux.h"] > 0.0:
+            raise ValidationError("flux.h", "must be positive")
+        if not values["flux.a"] < values["flux.b"]:
+            raise ValidationError("flux.b", "must exceed flux.a")
+        if not values["flux.t0"] >= 0.0:
+            raise ValidationError("flux.t0", "must be nonnegative")
+    if "trapezoid.t1" in values:
+        if not values["trapezoid.t1"] >= 0.0:
+            raise ValidationError("trapezoid.t1", "must be nonnegative")
+        if not values["trapezoid.t1"] < values["trapezoid.t2"]:
+            raise ValidationError("trapezoid.t2", "must exceed trapezoid.t1")
     if "grid.dx" in values:
         dx = values["grid.dx"]
         if not (isinstance(dx, float) and dx > 0.0):

@@ -46,7 +46,7 @@ from .grid import FieldState, GridSpec, InitialData, Nonlinearity, aligned_zeros
 
 DEFAULT_TOL_FIXED_POINT = 1e-12
 DEFAULT_MAX_ITERATIONS = 200
-# safety factor applied to the contraction bound p T^2 A^(p-1) <= 1/2
+# bound on a window's contraction number (``_window``)
 _CONTRACTION_BOUND = 0.5
 
 
@@ -58,10 +58,6 @@ class PicardResult:
     linear_part: np.ndarray
     iterations: int
     final_change: float
-
-    @property
-    def n_levels(self) -> int:
-        return self.levels.shape[0]
 
 
 def _lattice_levels(grid: GridSpec, T: float) -> int:
@@ -152,31 +148,31 @@ def nonlinear_integral(levels: np.ndarray, nl: Nonlinearity, dx: float) -> np.nd
     return out
 
 
-def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: float,
-                       tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> PicardResult:
-    """Iterate the solution operator to a fixed point on [0, T].
-
-    Enforces the contraction precondition p T^2 A^(p-1) <= 1/2 with A the
-    sup of the data wave over the space-time rectangle; raises NoContraction
-    when it fails and NonConvergence when the iteration cap is exceeded.
-    """
-    K = _lattice_levels(grid, T)
+def _window(init: InitialData, grid: GridSpec, nl: Nonlinearity, K: int):
+    """Linear part of the K-step window from ``init`` and its contraction
+    number p T^2 A^(p-1), T = K dx and A the sup of the linear part; the
+    number is 0 when the source is off or A = 0."""
     L = linear_part(init, grid, K)
     A = float(np.max(np.abs(L)))
-    if nl.source_sign != 0.0 and A > 0.0:
-        contraction = nl.p * T * T * A ** (nl.p - 1.0)
-        if contraction > _CONTRACTION_BOUND:
-            raise NoContraction(
-                f"p*T^2*A^(p-1) = {contraction:.3g} exceeds {_CONTRACTION_BOUND}"
-                f" (A = {A:.3g}); shorten T")
+    if nl.source_sign == 0.0 or A == 0.0:
+        return L, 0.0
+    return L, nl.p * (K * grid.dx) ** 2 * A ** (nl.p - 1.0)
+
+
+def _iterate(L: np.ndarray, nl: Nonlinearity, dx: float,
+             tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
+             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> PicardResult:
+    """Iterate U -> L + nonlinear_integral(U) from U = 0 to a fixed point."""
     if nl.source_sign == 0.0:
         # the transform is constant in u; one application is exact
         return PicardResult(L.copy(), L, 1, 0.0)
     U, change = np.zeros_like(L), np.inf
     for iterations in range(1, max_iterations + 1):
-        U_new = L + nonlinear_integral(U, nl, grid.dx)
-        change = float(np.max(np.abs(U_new - U)))
+        U_new = nonlinear_integral(U, nl, dx)
+        U_new += L
+        # |U_new - U| overwrites the old iterate, which is not needed again
+        np.subtract(U_new, U, out=U)
+        change = float(np.max(np.abs(U, out=U)))
         U = U_new
         if change < tol_fixed_point:
             return PicardResult(U, L, iterations, change)
@@ -184,56 +180,47 @@ def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: f
         f"no fixed point after {max_iterations} iterations (last change {change:.3e})")
 
 
-def _slice_state(levels, k, dx) -> FieldState:
-    if k < 2:
-        raise ValidationError("T", "need at least two lattice steps for the velocity")
-    u = levels[k]
-    v = (3.0 * levels[k] - 4.0 * levels[k - 1] + levels[k - 2]) / (2.0 * dx)
-    return FieldState(t=k * dx, u=u.copy(), v=v)
+def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: float,
+                       tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
+                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> PicardResult:
+    """Iterate the solution operator to a fixed point on [0, T].
 
-
-def dalembert_oracle(init: InitialData, grid: GridSpec, nl: Nonlinearity,
-                     T: float) -> FieldState:
-    """Solution slice at time T by Picard iteration of the integral equation.
-
-    Independent of the leapfrog scheme; serves as its small-time oracle.
-    The returned velocity is a one-sided second-order time difference of the
-    converged space-time field.
+    Raises NoContraction when the window's contraction number exceeds 1/2
+    and NonConvergence when the iteration cap is exceeded.
     """
-    result = picard_fixed_point(init, grid, nl, T)
-    return _slice_state(result.levels, result.n_levels - 1, grid.dx)
+    L, contraction = _window(init, grid, nl, _lattice_levels(grid, T))
+    if contraction > _CONTRACTION_BOUND:
+        raise NoContraction(f"p*T^2*A^(p-1) = {contraction:.3g} exceeds "
+                            f"{_CONTRACTION_BOUND}; shorten T")
+    return _iterate(L, nl, grid.dx, tol_fixed_point, max_iterations)
 
 
 def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity,
                         T: float) -> FieldState:
-    """Oracle evolution over horizons beyond a single contraction window.
+    """Solution slice at time T by Picard iteration of the integral equation.
 
-    Splits [0, T] into lattice-aligned windows, each satisfying the
-    contraction bound with a 0.9 margin, and solves each window with
-    ``picard_fixed_point``, restarting from the converged slice.
-    Restart data use the one-sided velocity reconstruction, which keeps the
-    composition second-order accurate.  That needs windows of at least two
-    steps, so no window may leave one step over; raises NoContraction when
-    no such split is found.
+    Independent of the leapfrog scheme; serves as its oracle.  Splits
+    [0, T] into lattice-aligned windows, each with a contraction number
+    within a 0.9 margin of the bound, iterates each window to its fixed
+    point and restarts from the converged slice.  The velocity of a slice
+    is a one-sided second-order time difference of the converged field,
+    which keeps the composition second-order accurate.  That needs windows
+    of at least two steps, so no window may leave one step over; raises
+    NoContraction when no such split is found.
     """
     K_total = _lattice_levels(grid, T)
     if K_total < 2:
         raise ValidationError("T", "horizon must span at least two lattice steps")
     dx = grid.dx
-    p = nl.p
     windows = []              # (start level, data, steps) of each window taken
     done, current, K_w = 0, init, K_total
     while True:
-        while True:
-            L = linear_part(current, grid, K_w)
-            A = float(np.max(np.abs(L)))
-            if nl.source_sign == 0.0 or A == 0.0:
-                break
-            if p * (K_w * dx) ** 2 * A ** (p - 1.0) <= 0.9 * _CONTRACTION_BOUND:
-                break
+        L, contraction = _window(current, grid, nl, K_w)
+        while not contraction <= 0.9 * _CONTRACTION_BOUND:
             if K_w == 2:
                 raise NoContraction("contraction fails even on a two-step window")
             K_w = max(2, K_w // 2)
+            L, contraction = _window(current, grid, nl, K_w)
         if K_total - done - K_w == 1:
             # shorten the latest window of three or more steps by one, which
             # still contracts, and choose the windows after it again; each
@@ -247,11 +234,11 @@ def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity,
             K_w -= 1
             continue
         windows.append((done, current, K_w))
-        # the margin keeps the oracle's own contraction check from raising
-        state = _slice_state(picard_fixed_point(current, grid, nl, K_w * dx).levels,
-                             K_w, dx)
-        if done + K_w >= K_total:
-            return FieldState(t=(done + K_w) * dx, u=state.u, v=state.v)
-        current = InitialData.explicit(state.u, state.v)
+        levels = _iterate(L, nl, dx).levels
+        u = levels[K_w].copy()
+        v = (3.0 * levels[K_w] - 4.0 * levels[K_w - 1] + levels[K_w - 2]) / (2.0 * dx)
         done += K_w
+        if done >= K_total:
+            return FieldState(t=done * dx, u=u, v=v)
+        current = InitialData.explicit(u, v)
         K_w = K_total - done

@@ -360,8 +360,9 @@ def aligned_zeros(n_rows: int, n: int) -> np.ndarray:
 
 
 def bit_extent(u) -> tuple[int, int]:
-    """[i, j) from the first to past the last value of float64 ``u`` whose
-    bits are not +0.0 (-0.0 and NaN count); (0, 0) when every bit is +0.0.
+    """[i, j) from the first to past the last value of float64 (or int64)
+    ``u`` whose bits are not all zero, so -0.0 and NaN count; (0, 0) when
+    every bit is zero.
 
     One byte per value and a byte search from each end: ``np.flatnonzero``
     over a 10,401-node row takes several times as long.

@@ -211,9 +211,9 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
     s_prev = _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
-    state0 = emit(0, u0.copy(), u1.copy()) if 0 in schedule or n_steps == 0 else None
+    state = emit(0, u0.copy(), u1.copy()) if 0 in schedule or n_steps == 0 else None
     if n_steps == 0:
-        return state0
+        return state
 
     # the buffers hold nodes [0, h]; ghost node h copies node n - 1 - h after
     # each step: its mirror image, or on the full grid (h = n - 1) node 0
@@ -232,12 +232,10 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
     c2 = grid.cfl * grid.cfl
     dt2s = grid.dt * grid.dt * nl.source_sign
-    final_state = None
 
     # [lo, hi) holds every node whose bits may be nonzero at level m or m - 1;
     # [a, b) is the stepped window, [lo, hi) rounded out to whole cache lines
-    live = np.flatnonzero((u_prev.view(np.int64) != 0) | (u_cur.view(np.int64) != 0))
-    lo, hi = (int(live[0]), int(live[-1]) + 1) if live.size else (1, 1)
+    lo, hi = bit_extent(u_prev.view(np.int64) | u_cur.view(np.int64))
     a, b = lo, hi
     # s_prev, s_cur bound sup|u| at levels m - 1 and m
     s_cur = _guard_check(u_cur[a:b], dt, guard, work[a:b])
@@ -277,12 +275,10 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
         if m in schedule or m == n_steps:
             state = emit(m, whole(u_cur), whole(_velocity(u_next, u_prev, dt, out=v_buf)))
-            if m == n_steps:
-                final_state = state
 
         u_prev, u_cur, u_next = u_cur, u_next, u_prev
 
-    return final_state
+    return state
 
 
 def _velocity(u_next, u_prev, dt, out=None):

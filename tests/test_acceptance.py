@@ -180,7 +180,7 @@ def test_c04_oracle_equivalence_and_q():
     dx = 2e-3
     grid = wl.GridSpec(-6.0, 6.0, int(round(12 / dx)), cfl=1.0)
     init = wl.InitialData.gaussian(amplitude=0.1)
-    oracle = wl.dalembert_oracle(init, grid, P3, 0.25)
+    oracle = wl.evolve_by_dalembert(init, grid, P3, 0.25)
     leap = wl.evolve(init, grid, P3, 0.25)
     sup = float(np.abs(oracle.u - leap.u).max())
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wavelab1d import ValidationError
+from wavelab1d import Trajectory, ValidationError
 from wavelab1d.cli import dispatch, main
 from wavelab1d.config import Config, resolve
 from wavelab1d.manifest import load_manifest, rerun_from_manifest
@@ -104,7 +104,8 @@ def test_dispatch_rejects_unknown_subcommand(tmp_path):
                                       "run.t_samples=,", "run.t_samples=-1,0,2",
                                       "run.t_end=-1", "run.t_end=inf", "run.t_end=nan",
                                       "run.sample_every=inf", "init.amplitude=nan",
-                                      "init.width=inf", "grid.dx=inf", "nl.p=inf"])
+                                      "init.width=inf", "grid.dx=inf", "nl.p=inf",
+                                      "init.amplitude"])
 def test_error_exit_and_error_json(tmp_path, override):
     out = tmp_path / "bad"
     code = run_cli(["simulate", "--out-dir", str(out), "--quiet",
@@ -112,7 +113,33 @@ def test_error_exit_and_error_json(tmp_path, override):
     assert code == 1
     err = json.loads((out / "error.json").read_text())
     assert err["error_type"] == "ValidationError"
-    assert err["message"].startswith(override.split("=")[0] + ": ")
+    key = override.split("=")[0] if "=" in override else "override"
+    assert err["message"].startswith(key + ": ")
+
+
+@pytest.mark.parametrize("subcommand, overrides, key", [
+    ("flux-check", ("flux.h=-0.5",), "flux.h"), ("flux-check", ("flux.h=0",), "flux.h"),
+    ("flux-check", ("flux.a=1", "flux.b=-1"), "flux.b"),
+    ("flux-check", ("flux.t0=-0.1",), "flux.t0"),
+    ("trapezoid", ("trapezoid.t1=1", "trapezoid.t2=0.5"), "trapezoid.t2"),
+    ("trapezoid", ("trapezoid.t1=-0.5",), "trapezoid.t1"),
+])
+def test_bad_window_rejected_before_recording(tmp_path, monkeypatch, subcommand,
+                                              overrides, key):
+    # the dense trajectory's cost grows like t^2, so a window that cannot be
+    # checked must fail before it is recorded
+    recorded = []
+    monkeypatch.setattr(Trajectory, "record",
+                        classmethod(lambda cls, *args, **kwargs: recorded.append(args)))
+    out = tmp_path / "bad"
+    args = [subcommand, "--out-dir", str(out), "--quiet"]
+    for pair in overrides:
+        args += ["--override", pair]
+    assert run_cli(args) == 1
+    assert recorded == []
+    err = json.loads((out / "error.json").read_text())
+    assert err["error_type"] == "ValidationError"
+    assert err["message"].startswith(key + ": ")
 
 
 def test_unreadable_config_file_is_an_error(tmp_path):

@@ -69,7 +69,16 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("flux-check", "flux.which", "full"), ("trapezoid", "trapezoid.which", "full"),
     # C_p overflows a float
     ("selfsimilar", "ode.p", "1.027"), ("cp-table", "cp.p_values", "2,1.02"),
-    ("cp-table", "cp.p_values", "1e4")])
+    ("cp-table", "cp.p_values", "1e4"),
+    # the flux hexagon and the trapezoid window
+    ("flux-check", "flux.h", "-0.5"), ("flux-check", "flux.h", "0"),
+    ("flux-check", "flux.b", "-1"), ("flux-check", "flux.t0", "-0.1"),
+    ("trapezoid", "trapezoid.t1", "-0.5"), ("trapezoid", "trapezoid.t2", "0"),
+    ("simulate", "grid.dx", "0"), ("simulate", "grid.dx", "-0.1"),
+    ("simulate", "run.sample_every", "0"), ("selfsimilar", "ray.R", "2"),
+    ("cp-table", "cp.p_values", "0.5,2"), ("simulate", "init.kind", "explicit_samples"),
+    ("focusing", "init.radius", "0"), ("focusing", "init.power", "0"),
+    ("simulate", "init.width", "0")])
 def test_out_of_range_values_rejected(subcommand, key, text):
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {key: text})

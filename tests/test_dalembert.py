@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wavelab1d import (GridSpec, InitialData, NoContraction, Nonlinearity, dalembert,
-                       dalembert_oracle, evolve, evolve_by_dalembert,
-                       picard_fixed_point)
+                       evolve, evolve_by_dalembert, picard_fixed_point)
 from wavelab1d.dalembert import _ROW_BLOCK, linear_part, nonlinear_integral
 from tests_support import row_by_row_nonlinear_integral, with_row_by_row_integral
 
@@ -35,33 +34,41 @@ def test_disabled_returns_linear_evaluation():
     assert np.abs(res.levels[-1] - leap.u).max() <= 1e-12
 
 
-def _spy_on_oracle(monkeypatch):
-    steps = []
-    original = dalembert.picard_fixed_point
+def _spy_on_windows(monkeypatch):
+    """Steps of each linear part built and of each window iterated."""
+    built, iterated = [], []
+    build, iterate = dalembert.linear_part, dalembert._iterate
 
-    def spy(init, grid, nl, T, **kwargs):
-        steps.append(round(T / grid.dx))
-        return original(init, grid, nl, T, **kwargs)
-    monkeypatch.setattr(dalembert, "picard_fixed_point", spy)
-    return steps
+    def spy_build(init, grid, K):
+        built.append(K)
+        return build(init, grid, K)
+
+    def spy_iterate(L, *args):
+        iterated.append(L.shape[0] - 1)
+        return iterate(L, *args)
+    monkeypatch.setattr(dalembert, "linear_part", spy_build)
+    monkeypatch.setattr(dalembert, "_iterate", spy_iterate)
+    return built, iterated
 
 
 def test_windowed_oracle_solves_each_window_with_the_oracle(monkeypatch):
-    steps = _spy_on_oracle(monkeypatch)
-    # the bound fails on [0, 0.5] and holds on [0, 0.25]
+    built, iterated = _spy_on_windows(monkeypatch)
+    # the bound fails on [0, 0.5] and holds on [0, 0.25]; each linear part is
+    # built once and the accepted one is iterated
     state = evolve_by_dalembert(InitialData.gaussian(amplitude=1.0), _grid(0.01), P3, 0.5)
-    assert steps == [25, 25]
+    assert built == [50, 25, 25]
+    assert iterated == [25, 25]
     assert state.t == 0.5
 
 
 def test_windowed_oracle_linear_mode_is_one_free_evolution(monkeypatch):
     g = _grid(0.01)
     init = InitialData.gaussian(amplitude=5.0, velocity_fraction=0.4)
-    steps = _spy_on_oracle(monkeypatch)
+    built, iterated = _spy_on_windows(monkeypatch)
     state = evolve_by_dalembert(init, g, LINEAR, 0.5)
-    assert steps == [50]
-    ref = dalembert_oracle(init, g, LINEAR, 0.5)
-    assert np.array_equal(state.u, ref.u) and np.array_equal(state.v, ref.v)
+    assert built == iterated == [50]
+    ref = picard_fixed_point(init, g, LINEAR, 0.5)
+    assert np.array_equal(state.u, ref.levels[-1])
     assert np.abs(state.u - evolve(init, g, LINEAR, 0.5).u).max() <= 1e-12
     zero = evolve_by_dalembert(InitialData.zero(), g, P3, 0.5)
     assert np.all(zero.u == 0.0) and np.all(zero.v == 0.0)
@@ -80,8 +87,8 @@ def test_fixed_point_property():
 
 def test_no_contraction_raised():
     g = _grid(0.005)
-    with pytest.raises(NoContraction):
-        dalembert_oracle(InitialData.gaussian(amplitude=1.0), g, P3, 0.5)
+    with pytest.raises(NoContraction, match="shorten T"):
+        picard_fixed_point(InitialData.gaussian(amplitude=1.0), g, P3, 0.5)
 
 
 def test_non_convergence_on_iteration_cap():
@@ -99,7 +106,7 @@ def test_oracle_richardson_consistency():
     init = InitialData.gaussian(amplitude=0.1)
     g1 = _grid(5e-3)
     g2 = _grid(2.5e-3)
-    o1 = dalembert_oracle(init, g1, P3, 0.25)
+    o1 = evolve_by_dalembert(init, g1, P3, 0.25)
     e1 = evolve(init, g1, P3, 0.25)
     e2 = evolve(init, g2, P3, 0.25)
     mutual = np.abs(e1.u - e2.u[::2]).max()

@@ -528,12 +528,12 @@ def test_trajectory_keeps_only_the_cone_resident():
 
 
 def test_convergence_order_against_oracle():
-    from wavelab1d import dalembert_oracle
+    from wavelab1d import evolve_by_dalembert
     diffs = []
     for dx in (5e-3, 2.5e-3):
         g = GridSpec(-8.0, 8.0, int(round(16 / dx)))
         init = InitialData.gaussian(amplitude=0.5)
-        oracle = dalembert_oracle(init, g, P3, 0.25)
+        oracle = evolve_by_dalembert(init, g, P3, 0.25)
         leap = evolve(init, g, P3, 0.25)
         diffs.append(np.abs(oracle.u - leap.u).max())
     ratio = diffs[0] / diffs[1]

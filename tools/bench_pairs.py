@@ -28,6 +28,9 @@ speed of a shared host can drift within that.  So each side and metric also
 records ``first5_median`` and ``last5_median``, the medians of its first and
 of its last five successful runs.  Drift moves both sides' halves the same
 way; a change moves the change's halves away from the parent's in both.
+Per workload, ``change_ratio`` gives each metric's change/parent ratio in
+every pair where both runs exited 0, with their median and quartiles; a
+drift slower than one pair cancels in the ratio.
 """
 from __future__ import annotations
 
@@ -80,14 +83,33 @@ def summarise(runs: list) -> dict:
     return side
 
 
+def completed_pairs(parent: list, change: list) -> list:
+    """The (parent, change) pairs in which both runs exited 0."""
+    return [(p, c) for p, c in zip(parent, change) if p["exit"] == c["exit"] == 0]
+
+
 def change_wins(parent: list, change: list) -> dict:
     """Pairs in which the change's metric is lower (every end-to-end metric
     is lower-is-better); pairs with a failed run count for neither."""
-    pairs = [(p, c) for p, c in zip(parent, change) if p["exit"] == c["exit"] == 0]
+    pairs = completed_pairs(parent, change)
     if not pairs:
         return {}
     return {name: sum(c["metrics"][name] < p["metrics"][name] for p, c in pairs)
             for name in pairs[0][0]["metrics"]}
+
+
+def change_ratio(parent: list, change: list) -> dict:
+    """Median and quartiles of the change/parent ratio of each metric over
+    the completed pairs; host drift moves both runs of a pair alike."""
+    pairs = completed_pairs(parent, change)
+    if len(pairs) < 2:
+        return {}
+    out = {}
+    for name in pairs[0][0]["metrics"]:
+        ratios = [c["metrics"][name] / p["metrics"][name] for p, c in pairs]
+        q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
+        out[name] = {"median": median, "q1": q1, "q3": q3, "ratios": ratios}
+    return out
 
 
 def main(argv=None) -> int:
@@ -122,6 +144,7 @@ def main(argv=None) -> int:
             "parent": summarise(runs["parent"]),
             "change": summarise(runs["change"]),
             "change_wins": change_wins(runs["parent"], runs["change"]),
+            "change_ratio": change_ratio(runs["parent"], runs["change"]),
         }
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
