@@ -43,7 +43,10 @@ def potential(u, nl: Nonlinearity):
     """
     if nl.sign == "disabled":
         return np.zeros_like(u, dtype=float)
-    return np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+    pot = np.abs(u)
+    pot **= nl.p + 1.0
+    pot /= nl.p + 1.0
+    return pot
 
 
 @dataclass(frozen=True)
@@ -78,17 +81,26 @@ def compute_densities(state: FieldState, grid: GridSpec, nl: Nonlinearity) -> En
     The potential term is omitted for nl.sign == "disabled"; focusing signs
     are rejected because the directional split is only meaningful for the
     energy-coercive equation.
+
+    e+ = (0.25 (u_x - u_t)) (u_x - u_t) + pot/2, and e- likewise with the
+    sum, computed in place in the four arrays returned: u_x becomes e-, and
+    the two scratch arrays end up holding e_full and the momentum density.
     """
     if nl.sign == "focusing":
         raise ValidationError("nl.sign", "densities are defined for defocusing/disabled")
     ux, ut = sample_derivatives(state, grid)
-    diff = ux - ut
-    summ = ux + ut
-    pot = potential(state.u, nl) / 2.0
-    e_plus = 0.25 * diff * diff + pot
-    e_minus = 0.25 * summ * summ + pot
-    e_full = e_plus + e_minus
-    momentum = e_minus - e_plus
+    e_plus = np.subtract(ux, ut)
+    e_minus = np.add(ux, ut, out=ux)
+    quarter = np.multiply(e_plus, 0.25)
+    e_plus *= quarter
+    np.multiply(e_minus, 0.25, out=quarter)
+    e_minus *= quarter
+    pot = potential(state.u, nl)
+    pot /= 2.0
+    e_plus += pot
+    e_minus += pot
+    e_full = np.add(e_plus, e_minus, out=quarter)
+    momentum = np.subtract(e_minus, e_plus, out=pot)
     return EnergyDensities(t=state.t, e_plus=e_plus, e_minus=e_minus,
                            e_full=e_full, momentum_density=momentum)
 
@@ -153,11 +165,19 @@ def conserved_pair(d: EnergyDensities, grid: GridSpec):
 
 
 def norms(state: FieldState, grid: GridSpec, nl: Nonlinearity):
-    """(L^(p+1) norm of u, sup norm of u, squared H^1 x L^2 norm)."""
+    """(L^(p+1) norm of u, sup norm of u, squared H^1 x L^2 norm).
+
+    |u| is taken once for both norms, and every power and square is taken
+    in place in one of two arrays.
+    """
     ux, ut = sample_derivatives(state, grid)
-    lp = trapezoid(np.abs(state.u) ** (nl.p + 1.0), grid.dx) ** (1.0 / (nl.p + 1.0))
-    sup = float(np.max(np.abs(state.u))) if state.u.size else 0.0
-    h1l2 = trapezoid(ux * ux, grid.dx) + trapezoid(ut * ut, grid.dx)
+    scratch = np.abs(state.u)
+    sup = float(np.max(scratch)) if scratch.size else 0.0
+    scratch **= nl.p + 1.0
+    lp = trapezoid(scratch, grid.dx) ** (1.0 / (nl.p + 1.0))
+    ux *= ux
+    np.multiply(ut, ut, out=scratch)
+    h1l2 = trapezoid(ux, grid.dx) + trapezoid(scratch, grid.dx)
     return lp, sup, h1l2
 
 

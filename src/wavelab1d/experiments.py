@@ -336,6 +336,15 @@ def run_focusing(cfg: Config) -> ExperimentReport:
     return report
 
 
+def _check_even(init: InitialData, grid: GridSpec, ev_tol: float):
+    """Raise EvennessViolated unless the sampled u0 and u1 are even to within
+    ``ev_tol`` relative to their sup; the samples die with the call."""
+    for name, arr in zip(("u0", "u1"), init.sample(grid)):
+        scale = float(np.max(np.abs(arr))) or 1.0
+        if float(np.max(np.abs(arr - arr[::-1]))) > ev_tol * scale:
+            raise EvennessViolated(f"{name} is not even to within {ev_tol:.1e}")
+
+
 def run_concentration(cfg: Config) -> ExperimentReport:
     """Interaction functional Q(t) of even data stays bounded below.
 
@@ -347,11 +356,7 @@ def run_concentration(cfg: Config) -> ExperimentReport:
 
     if abs(grid.x_min + grid.x_max) > 1e-9 * max(1.0, abs(grid.x_max)):
         raise ValidationError("grid", "concentration needs a symmetric domain")
-    u0, u1 = init.sample(grid)
-    for name, arr in (("u0", u0), ("u1", u1)):
-        scale = float(np.max(np.abs(arr))) or 1.0
-        if float(np.max(np.abs(arr - arr[::-1]))) > ev_tol * scale:
-            raise EvennessViolated(f"{name} is not even to within {ev_tol:.1e}")
+    _check_even(init, grid, ev_tol)
 
     # the baseline is the sampled grid time nearest run.q_baseline_time,
     # the earliest one on a tie

@@ -400,6 +400,7 @@ def stencil_ux(u, js, dx: float, lead=()):
 def sample_derivatives(state: FieldState, grid: GridSpec):
     """(u_x, u_t) on the grid nodes.
 
-    u_t is the stored velocity verbatim; u_x is ``stencil_ux`` at every node.
+    u_t is the state's own read-only velocity array, not a copy; u_x is
+    ``stencil_ux`` at every node.
     """
-    return stencil_ux(state.u, np.arange(state.u.size), grid.dx), state.v.copy()
+    return stencil_ux(state.u, np.arange(state.u.size), grid.dx), state.v

@@ -211,9 +211,12 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
     s_prev = _guard_check(u0, 0.0, guard, np.empty_like(u0))
 
-    state = emit(0, u0.copy(), u1.copy()) if 0 in schedule or n_steps == 0 else None
+    # the sampled arrays are fresh and never written, so the t = 0 state
+    # wraps them without a copy
     if n_steps == 0:
-        return state
+        return emit(0, u0, u1)
+    if 0 in schedule:
+        emit(0, u0, u1)
 
     # the buffers hold nodes [0, h]; ghost node h copies node n - 1 - h after
     # each step: its mirror image, or on the full grid (h = n - 1) node 0
@@ -229,6 +232,8 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     u_prev, u_cur, u_next, work, tmp, v_buf = aligned_zeros(6, h + 1)
     u_prev[:] = u0[:h + 1]
     u_cur[:] = level1[:h + 1]
+    # from here on the buffers are the run's only copy of the data
+    del u0, u1, level1
 
     c2 = grid.cfl * grid.cfl
     dt2s = grid.dt * grid.dt * nl.source_sign
@@ -275,10 +280,11 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
         if m in schedule or m == n_steps:
             state = emit(m, whole(u_cur), whole(_velocity(u_next, u_prev, dt, out=v_buf)))
+            if m == n_steps:
+                return state
+            del state       # not kept alive beside the next emitted state
 
         u_prev, u_cur, u_next = u_cur, u_next, u_prev
-
-    return state
 
 
 def _velocity(u_next, u_prev, dt, out=None):

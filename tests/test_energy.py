@@ -9,9 +9,11 @@ from wavelab1d import (GridSpec, InitialData, Nonlinearity, Observer,
                        Trajectory, ValidationError, compute_densities,
                        conserved_pair, evolve, interval_energy,
                        light_cone_energy, morawetz_accumulator)
+from wavelab1d.energy import norms, potential
 from wavelab1d.grid import FieldState
 
-from tests_support import full_row_morawetz
+from tests_support import (expression_densities, expression_norms, expression_potential,
+                           full_row_morawetz, traced_memory)
 
 P3 = Nonlinearity(p=3.0)
 
@@ -95,6 +97,42 @@ def test_gaussian_energy_closed_form():
     assert abs(M) <= 1e-12
     assert Ep == pytest.approx(E_ / 2.0, rel=1e-12)
     assert Em == pytest.approx(E_ / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p, sign", [(2.0, "defocusing"), (2.5, "defocusing"),
+                                     (3.0, "defocusing"), (5.0, "defocusing"),
+                                     (3.0, "disabled")])
+def test_in_place_densities_and_norms_match_expression_form(cfl, p, sign):
+    g = GridSpec(-4.0, 4.0, 800, cfl=cfl)
+    nl = Nonlinearity(p=p, sign=sign)
+    # a negative bump samples u and v to -0.0 outside its support
+    init = InitialData.polynomial_bump(amplitude=-0.8, center=0.3, velocity_fraction=0.5)
+    states = []
+    evolve(init, g, nl, 1.0, observers=[Observer(np.linspace(0.0, 1.0, 5), states.append)])
+    assert np.signbit(states[0].u[states[0].u == 0.0]).any()
+    assert np.signbit(states[0].v[states[0].v == 0.0]).any()
+    for state in states:
+        d = compute_densities(state, g, nl)
+        got = (d.e_plus, d.e_minus, d.e_full, d.momentum_density)
+        for arr, ref in zip(got, expression_densities(state, g, nl), strict=True):
+            assert arr.tobytes() == ref.tobytes()
+        assert potential(state.u, nl).tobytes() == expression_potential(state.u, nl).tobytes()
+        assert ([v.hex() for v in norms(state, g, nl)]
+                == [v.hex() for v in expression_norms(state, g, nl)])
+
+
+def test_compute_densities_peaks_at_five_state_sized_arrays():
+    g = GridSpec(-1.0, 1.0, 2 ** 17)                   # 131,073 nodes
+    rng = np.random.default_rng(2)
+    state = _state(rng.normal(size=g.n_nodes), rng.normal(size=g.n_nodes))
+    with traced_memory() as above:
+        d = compute_densities(state, g, P3)
+        peak = above()[1]
+    # the four outputs and the derivative stencil's index arrays; the
+    # expression form peaked at nine
+    assert peak <= 6 * state.u.nbytes
+    assert d.e_full.size == g.n_nodes
 
 
 def test_interval_energy_empty_and_additive():

@@ -105,6 +105,15 @@ def test_derivatives_zero_and_ramp():
     assert np.allclose(ux, 1.0, rtol=0, atol=1e-12)
 
 
+def test_sample_derivatives_returns_the_states_own_read_only_velocity():
+    g = GridSpec(-1.0, 1.0, 50)
+    state = FieldState(t=0.0, u=np.zeros(51), v=np.ones(51))
+    ux, ut = sample_derivatives(state, g)
+    assert ut is state.v
+    with pytest.raises(ValueError):
+        ut[0] = 2.0
+
+
 def test_derivative_accuracy_sine():
     g = GridSpec(-1.0, 1.0, 2000)  # dx = 1e-3
     state = FieldState(t=0.0, u=np.sin(g.nodes), v=np.zeros(g.n_nodes))

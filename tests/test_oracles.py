@@ -1,0 +1,77 @@
+"""Exact laws the stepper and the energies must obey.
+
+Scaling: u_lam(t, x) = lam^beta u(lam t, lam x), beta = 2/(p-1), maps the
+equation onto itself, and with dx and dt divided by lam the leapfrog update
+maps onto itself too.  When lam and lam^beta are powers of two every
+floating-point operation scales exactly, so the law holds bit for bit.
+
+Self-similar solutions: every profile f of the ``selfsimilar`` ODE gives the
+exact defocusing solution u = x^(-beta) f(t/x) on x > t, and the stepper
+must converge to it at second order.
+"""
+import numpy as np
+import pytest
+
+from wavelab1d import GridSpec, InitialData, Nonlinearity, Observer, evolve
+from wavelab1d.energy import compute_densities, conserved_pair
+from wavelab1d.selfsimilar import OdeParams, integrate_profile, lift_field
+
+
+def _bump_run(p, lam, cfl, sign):
+    """(t, u, v, conserved_pair) at seven samples of the bump scaled by lam."""
+    beta = 2.0 / (p - 1.0)
+    g = GridSpec(-8.0 / lam, 8.0 / lam, 4000, cfl=cfl)
+    nl = Nonlinearity(p=p, sign=sign)
+    init = InitialData.polynomial_bump(amplitude=1.5 * lam ** beta, center=0.7 / lam,
+                                       radius=1.0 / lam, power=3, velocity_fraction=0.5)
+    rows = []
+
+    def keep(state):
+        rows.append((state.t, state.u, state.v,
+                     conserved_pair(compute_densities(state, g, nl), g)))
+
+    evolve(init, g, nl, 3.0 / lam, observers=[Observer(np.arange(7) * (0.5 / lam), keep)])
+    return rows
+
+
+@pytest.mark.parametrize("sign", ["defocusing", "disabled"])
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p, lam", [(2.0, 2.0), (3.0, 2.0), (3.0, 4.0), (5.0, 4.0)])
+def test_power_of_two_scaling_is_exact(p, lam, cfl, sign):
+    beta = 2.0 / (p - 1.0)
+    base = _bump_run(p, 1.0, cfl, sign)
+    scaled = _bump_run(p, lam, cfl, sign)
+    assert len(base) == len(scaled) == 7
+    for (t, u, v, pair), (t_s, u_s, v_s, pair_s) in zip(base, scaled):
+        assert t_s == t / lam
+        assert u_s.tobytes() == (lam ** beta * u).tobytes()
+        assert v_s.tobytes() == (lam ** (beta + 1.0) * v).tobytes()
+        assert pair_s == tuple(lam ** (2.0 * beta + 1.0) * e for e in pair)
+
+
+def _self_similar_error(sol, params, dx, cfl):
+    """max |u - exact| on the numerical cone of data cut off outside [2, 10]."""
+    g = GridSpec(-2.0, 14.0, round(16.0 / dx), cfl=cfl)
+    x = g.nodes
+    inside = (x >= 2.0) & (x <= 10.0)
+    beta = params.beta
+    u0 = np.zeros(g.n_nodes)
+    u1 = np.zeros(g.n_nodes)
+    u0[inside] = params.a * x[inside] ** -beta
+    u1[inside] = params.b * x[inside] ** (-beta - 1.0)
+    final = evolve(InitialData.explicit(u0, u1), g, Nonlinearity(p=params.p), 3.0)
+    reach = final.t / cfl + 0.05
+    cone = (x >= 2.0 + reach) & (x <= 10.0 - reach)
+    exact = lift_field(sol, params, final.t, x[cone])
+    return float(np.max(np.abs(final.u[cone] - exact.u)))
+
+
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p, a, b", [(2.0, 1.0, 0.0), (2.5, 1.0, 0.0), (3.0, 1.0, 0.0),
+                                     (3.0, 2.0, 0.5), (5.0, 1.0, 0.0)])
+def test_stepper_converges_to_self_similar_solutions_at_second_order(p, a, b, cfl):
+    params = OdeParams(p=p, a=a, b=b)
+    sol = integrate_profile(params)
+    errors = [_self_similar_error(sol, params, dx, cfl) for dx in (0.01, 0.005, 0.0025)]
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(3.9 <= r <= 4.1 for r in ratios), (errors, ratios)

@@ -10,7 +10,7 @@ from wavelab1d import solver
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
                        Nonlinearity, Observer, Trajectory, ValidationError, evolve)
 from wavelab1d.energy import norms
-from tests_support import every_level, first_step, level_bytes, with_full_grid
+from tests_support import every_level, first_step, level_bytes, traced_memory, with_full_grid
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -391,6 +391,23 @@ def test_observer_beyond_horizon_rejected():
     obs = Observer(times=[3.0], fn=lambda s: None)
     with pytest.raises(Exception):
         evolve(InitialData.zero(), g, P3, 1.0, observers=[obs])
+
+
+def test_evolve_keeps_no_copy_of_the_sampled_data():
+    g = GridSpec(-2.0, 2.0, 2 ** 17)                   # 131,073 nodes
+    init = InitialData.gaussian(amplitude=1.0, width=0.2)
+    t_end = 40 * g.dt
+    live = []
+    with traced_memory() as above:
+        def note(state):
+            live.append(above()[0])
+        evolve(init, g, P3, t_end, observers=[Observer([0.0, t_end / 2, t_end], note)])
+    # even data: six half-lattice buffers (three arrays) plus the emitted
+    # state's u and v, and less than one more array; the sampled u0 and u1,
+    # level 1 and the previously emitted state would add five
+    nbytes = 8 * g.n_nodes
+    assert len(live) == 3
+    assert live[-1] < 6 * nbytes
 
 
 def test_trajectory_record_levels():

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
+import contextlib
 import csv
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import numpy as np
 from wavelab1d import dalembert, solver
 from wavelab1d.energy import trapezoid
 from wavelab1d.errors import BlowUpDetected, ValidationError
-from wavelab1d.grid import FieldState, sample_derivatives
+from wavelab1d.grid import FieldState, sample_derivatives, stencil_ux
 from wavelab1d.solver import _guard_check, _start_level
 
 
@@ -253,3 +255,53 @@ def full_row_morawetz(trajectory, t_max):
         u = trajectory.u_levels[m]
         slab[m] = trapezoid(w * np.abs(u) ** (p + 1.0), grid.dx)
     return trapezoid(slab, grid.dt)
+
+
+def expression_potential(u, nl):
+    """The allocating ``energy.potential`` that the in-place one replaced; it
+    must reproduce it bit for bit."""
+    if nl.sign == "disabled":
+        return np.zeros_like(u, dtype=float)
+    return np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+
+
+def expression_densities(state, grid, nl):
+    """(e_plus, e_minus, e_full, momentum) as the allocating
+    ``energy.compute_densities`` that the in-place one replaced built them,
+    from a copied velocity; it must reproduce them bit for bit."""
+    ux = stencil_ux(state.u, np.arange(state.u.size), grid.dx)
+    ut = state.v.copy()
+    diff = ux - ut
+    summ = ux + ut
+    pot = expression_potential(state.u, nl) / 2.0
+    e_plus = 0.25 * diff * diff + pot
+    e_minus = 0.25 * summ * summ + pot
+    return e_plus, e_minus, e_plus + e_minus, e_minus - e_plus
+
+
+def expression_norms(state, grid, nl):
+    """The allocating ``energy.norms`` that the in-place one replaced; it must
+    reproduce it bit for bit."""
+    ux = stencil_ux(state.u, np.arange(state.u.size), grid.dx)
+    ut = state.v.copy()
+    lp = trapezoid(np.abs(state.u) ** (nl.p + 1.0), grid.dx) ** (1.0 / (nl.p + 1.0))
+    sup = float(np.max(np.abs(state.u))) if state.u.size else 0.0
+    h1l2 = trapezoid(ux * ux, grid.dx) + trapezoid(ut * ut, grid.dx)
+    return lp, sup, h1l2
+
+
+@contextlib.contextmanager
+def traced_memory():
+    """Trace allocations for the block; yields ``above()``, which returns the
+    (current, peak) traced bytes above the level at entry.  The peak is reset
+    at entry."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        yield lambda: tuple(b - base for b in tracemalloc.get_traced_memory())
+    finally:
+        if started:
+            tracemalloc.stop()
