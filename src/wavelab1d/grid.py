@@ -372,28 +372,18 @@ def bit_extent(u) -> tuple[int, int]:
     return (i, bits.rfind(1) + 1) if i >= 0 else (0, 0)
 
 
-def stencil_ux(u, js, dx: float, lead=()):
-    """u_x at node indices ``js`` of the rows ``u[lead]`` (the last axis is x).
+def stencil_ux(u, dx: float):
+    """u_x along the last axis of ``u``, which holds at least 3 nodes.
 
-    ``lead`` holds index arrays for the leading axes, one value per entry of
-    ``js``; it is empty for a single time slice.  Central differences at
-    interior nodes and one-sided second-order stencils at the endpoints, so
-    linear ramps differentiate exactly everywhere.
+    Central differences at interior nodes and one-sided second-order
+    stencils at the two ends, so linear ramps differentiate exactly
+    everywhere.  One output array is the only allocation.
     """
-    n = u.shape[-1] - 1
-    jm = np.clip(js - 1, 0, n)
-    jp = np.clip(js + 1, 0, n)
-    ux = (u[lead + (jp,)] - u[lead + (jm,)]) / (2.0 * dx)
-    left = js == 0
-    if left.any():
-        at = tuple(a[left] for a in lead)
-        ux[left] = (-3.0 * u[at + (0,)] + 4.0 * u[at + (1,)]
-                    - u[at + (2,)]) / (2.0 * dx)
-    right = js == n
-    if right.any():
-        at = tuple(a[right] for a in lead)
-        ux[right] = (3.0 * u[at + (n,)] - 4.0 * u[at + (n - 1,)]
-                     + u[at + (n - 2,)]) / (2.0 * dx)
+    ux = np.empty(u.shape)
+    np.subtract(u[..., 2:], u[..., :-2], out=ux[..., 1:-1])
+    ux[..., 1:-1] /= 2.0 * dx
+    ux[..., 0] = (-3.0 * u[..., 0] + 4.0 * u[..., 1] - u[..., 2]) / (2.0 * dx)
+    ux[..., -1] = (3.0 * u[..., -1] - 4.0 * u[..., -2] + u[..., -3]) / (2.0 * dx)
     return ux
 
 
@@ -401,6 +391,6 @@ def sample_derivatives(state: FieldState, grid: GridSpec):
     """(u_x, u_t) on the grid nodes.
 
     u_t is the state's own read-only velocity array, not a copy; u_x is
-    ``stencil_ux`` at every node.
+    ``stencil_ux`` of the state's u.
     """
-    return stencil_ux(state.u, np.arange(state.u.size), grid.dx), state.v
+    return stencil_ux(state.u, grid.dx), state.v

@@ -403,14 +403,20 @@ class Trajectory:
                           v=self._velocity(level, slice(None)))
 
     def pointwise(self, levels, js):
-        """(u, u_x, u_t) at lattice points (levels[i], js[i]), vectorized.
+        """(u, u_x, u_t) at lattice points (levels[i], js[i]) of 1-d index arrays.
 
-        u_x is ``stencil_ux``, the stencil of sample_derivatives.
+        Negative indices count from the end, and out-of-range ones raise
+        IndexError.  The results are the bits of ``state(levels[i])`` and of
+        ``sample_derivatives`` of it at node js[i]: u_x is ``stencil_ux`` on
+        each point's three-node window, nodes start .. start + 2 with start
+        = clip(j - 1, 0, n_cells - 2).
         """
         levels = np.arange(self.n_levels)[np.asarray(levels, dtype=int)]
-        js = np.asarray(js, dtype=int)
-        ux = stencil_ux(self.u_levels, js, self.grid.dx, (levels,))
-        return self.u_levels[levels, js], ux, self._velocity(levels, js)
+        js = np.arange(self.grid.n_nodes)[np.asarray(js, dtype=int)]
+        start = np.clip(js - 1, 0, self.grid.n_cells - 2)
+        window = self.u_levels[levels[:, None], start[:, None] + np.arange(3)]
+        at = (np.arange(js.size), js - start)
+        return window[at], stencil_ux(window, self.grid.dx)[at], self._velocity(levels, js)
 
     def _velocity(self, levels, js):
         """u_t at (levels, js): the stored end rows, else the stepper's difference."""

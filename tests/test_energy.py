@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from wavelab1d import (GridSpec, InitialData, Nonlinearity, Observer,
                        Trajectory, ValidationError, compute_densities,
                        conserved_pair, evolve, interval_energy,
-                       light_cone_energy, morawetz_accumulator)
+                       light_cone_energy, morawetz_accumulator, sample_derivatives)
 from wavelab1d.energy import norms, potential
 from wavelab1d.grid import FieldState
 
@@ -77,7 +77,6 @@ def test_momentum_density_is_ux_ut():
     u = rng.normal(size=201)
     v = rng.normal(size=201)
     d = compute_densities(_state(u, v), g, P3)
-    from wavelab1d import sample_derivatives
     ux, ut = sample_derivatives(_state(u, v), g)
     scale = np.abs(d.e_full).max()
     assert np.abs(d.momentum_density - ux * ut).max() <= 1e-13 * max(scale, 1.0)
@@ -122,17 +121,32 @@ def test_in_place_densities_and_norms_match_expression_form(cfl, p, sign):
                 == [v.hex() for v in expression_norms(state, g, nl)])
 
 
-def test_compute_densities_peaks_at_five_state_sized_arrays():
+# array headers and small Python objects on top of the arrays themselves
+OBJECT_BYTES = 16 * 1024
+
+
+def _big_state():
     g = GridSpec(-1.0, 1.0, 2 ** 17)                   # 131,073 nodes
     rng = np.random.default_rng(2)
-    state = _state(rng.normal(size=g.n_nodes), rng.normal(size=g.n_nodes))
+    return g, _state(rng.normal(size=g.n_nodes), rng.normal(size=g.n_nodes))
+
+
+def test_compute_densities_peaks_at_its_four_outputs():
+    g, state = _big_state()
     with traced_memory() as above:
         d = compute_densities(state, g, P3)
         peak = above()[1]
-    # the four outputs and the derivative stencil's index arrays; the
-    # expression form peaked at nine
-    assert peak <= 6 * state.u.nbytes
+    assert peak <= 4 * state.u.nbytes + OBJECT_BYTES
     assert d.e_full.size == g.n_nodes
+
+
+def test_sample_derivatives_peaks_at_one_state_sized_array():
+    g, state = _big_state()
+    with traced_memory() as above:
+        ux, _ = sample_derivatives(state, g)
+        peak = above()[1]
+    assert peak <= state.u.nbytes + OBJECT_BYTES
+    assert ux.size == g.n_nodes
 
 
 def test_interval_energy_empty_and_additive():

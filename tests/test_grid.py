@@ -7,7 +7,9 @@ from hypothesis.extra.numpy import arrays
 
 from wavelab1d import (GridSpec, InitialData, Nonlinearity, ValidationError,
                        sample_derivatives)
-from wavelab1d.grid import FieldState, aligned_zeros, bit_extent
+from wavelab1d.grid import FieldState, aligned_zeros, bit_extent, stencil_ux
+
+from tests_support import gather_stencil_ux
 
 
 def test_nonlinearity_validation():
@@ -112,6 +114,24 @@ def test_sample_derivatives_returns_the_states_own_read_only_velocity():
     assert ut is state.v
     with pytest.raises(ValueError):
         ut[0] = 2.0
+
+
+# -0.0 and +0.0 often, at the ends too, among finite values of both signs
+STENCIL_VALUES = st.one_of(st.sampled_from([0.0, -0.0]),
+                           st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(3, 12)),
+                elements=STENCIL_VALUES),
+       dx=st.sampled_from([1.0, 0.01, 0.003, 16.0 / 1600]))
+def test_stencil_ux_matches_the_gather_stencil_bit_for_bit(u, dx):
+    rows, n = u.shape
+    js = np.tile(np.arange(n), rows)
+    lead = (np.repeat(np.arange(rows), n),)
+    expected = gather_stencil_ux(u, js, dx, lead).reshape(rows, n)
+    assert stencil_ux(u, dx).tobytes() == expected.tobytes()
+    assert stencil_ux(u[0], dx).tobytes() == expected[0].tobytes()
 
 
 def test_derivative_accuracy_sine():

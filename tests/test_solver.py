@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from wavelab1d import solver
 from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
-                       Nonlinearity, Observer, Trajectory, ValidationError, evolve)
+                       Nonlinearity, Observer, Trajectory, ValidationError, evolve,
+                       sample_derivatives)
+from wavelab1d.grid import bit_extent
 from wavelab1d.energy import norms
 from tests_support import every_level, first_step, level_bytes, traced_memory, with_full_grid
 
@@ -452,6 +454,48 @@ def test_trajectory_velocities_are_the_steppers_bits(cfl, p, t_end):
         assert ut.tobytes() == np.array([emitted[-1][0], emitted[0][0]]).tobytes()
         with pytest.raises(IndexError):
             traj.pointwise([-traj.n_levels - 1], [0])
+
+
+def test_pointwise_takes_negative_node_indices_and_rejects_out_of_range_ones():
+    g = GridSpec(-4.0, 4.0, 400)
+    u0 = np.zeros(g.n_nodes)
+    u0[390:399] = np.linspace(1.0, 2.0, 9)
+    traj = Trajectory.record(InitialData.explicit(u0, np.zeros(g.n_nodes)), g, P3, 0.0)
+    js = np.array([-1, -2, -3, -4, -g.n_nodes])
+    levels = np.zeros(js.size, dtype=int)
+    got = traj.pointwise(levels, js)
+    for a, b in zip(got, traj.pointwise(levels, js + g.n_nodes)):
+        assert a.tobytes() == b.tobytes()
+    assert (got[0][2], got[1][2], got[1][0]) == (2.0, -46.875, 50.0)
+    for j in (g.n_nodes, -g.n_nodes - 1):
+        with pytest.raises(IndexError):
+            traj.pointwise([0], [j])
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+def test_pointwise_is_the_bits_of_state_and_sample_derivatives(cfl, mirrored):
+    # random data on nodes [7, n - 7]: after five steps the cone reaches
+    # nodes 2 and n - 2, so both one-sided end stencils read moving values
+    g = GridSpec(-1.0, 1.0, 40, cfl=cfl)
+    rng = np.random.default_rng(5)
+    u0, u1 = np.zeros((2, g.n_nodes))
+    u0[7:-7], u1[7:-7] = rng.normal(size=(2, g.n_nodes - 14))
+    if mirrored:                        # bit palindromes: the half-lattice path
+        u0, u1 = u0 + u0[::-1], u1 + u1[::-1]
+    traj = Trajectory.record(InitialData.explicit(u0, u1), g, P3, 5 * g.dt)
+    assert traj.n_levels == 6
+    assert bit_extent(traj.u_levels[-1]) == (2, g.n_nodes - 2)
+    starts = [solver._is_palindrome(traj.u_levels[m]) for m in (0, 1)]
+    assert all(starts) == mirrored
+    levels = np.repeat(np.arange(traj.n_levels), g.n_nodes)
+    js = np.tile(np.arange(g.n_nodes), traj.n_levels)
+    states = [traj.state(m) for m in range(traj.n_levels)]
+    expected = (np.concatenate([s.u for s in states]),
+                np.concatenate([sample_derivatives(s, g)[0] for s in states]),
+                np.concatenate([s.v for s in states]))
+    for got, want in zip(traj.pointwise(levels, js), expected):
+        assert got.tobytes() == want.tobytes()
 
 
 def _whole_rows(init, g, nl, t_end, **kwargs):

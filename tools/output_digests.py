@@ -40,10 +40,14 @@ a list of times; and ``morawetz_accumulator``.  Then come the oracles at
 inputs off the CLI defaults: brute-force Q on 3,000 seeded points, some
 with zero weight (three 1024-row blocks); ``integrate_profile`` with
 ``semi_energy`` at p = 2.5 and at p = 5 with f'(0) != 0; and
-``morawetz_accumulator`` on a negative bump, which samples to -0.0.  The
-last two lines digest the ``u_levels`` that ``Trajectory.record`` stores:
-the negative bump at cfl 0.9, and mirrored data at cfl 1, which the stepper
-evolves on half the lattice.
+``morawetz_accumulator`` on a negative bump, which samples to -0.0.  Two
+lines digest the ``u_levels`` that ``Trajectory.record`` stores: the
+negative bump at cfl 0.9, and mirrored data at cfl 1, which the stepper
+evolves on half the lattice.  The last four digest ``Trajectory.pointwise``
+(u, u_x and u_t at every node of every level) and ``sample_derivatives`` of
+the last state, for seeded samples whose cone reaches nodes 2 and n - 2,
+at cfl 1 and 0.9: no CLI run reaches an end node's one-sided stencil
+through a trajectory.
 """
 from __future__ import annotations
 
@@ -56,8 +60,8 @@ import numpy as np
 
 from wavelab1d import (GridSpec, InitialData, Nonlinearity, OdeParams, Trajectory,
                        evolve_by_dalembert, integrate_profile, morawetz_accumulator,
-                       pairwise_weighted_distance, picard_fixed_point, semi_energy,
-                       virial_check)
+                       pairwise_weighted_distance, picard_fixed_point, sample_derivatives,
+                       semi_energy, virial_check)
 from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
 from wavelab1d.manifest import MANIFEST_NAME
@@ -174,6 +178,20 @@ def oracle_digests():
         traj = Trajectory.record(init, GridSpec(-4.0, 4.0, 400, cfl=cfl), nl, 1.5)
         label = f"Trajectory.record[polynomial_bump {name} defocusing t_end=1.5]"
         yield f"{_sha(traj.u_levels)}  {label}/u_levels"
+    # seeded samples on nodes [22, 378], 20 steps: the last level's cone
+    # reaches nodes 2 and 398, so the end stencils read nonzero values
+    rng = np.random.default_rng(23)
+    u0, u1 = np.zeros((2, 401))
+    u0[22:-22], u1[22:-22] = rng.normal(size=(2, 357))
+    for cfl in (1.0, 0.9):
+        grid = GridSpec(-4.0, 4.0, 400, cfl=cfl)
+        traj = Trajectory.record(InitialData.explicit(u0, u1), grid, nl, 20 * grid.dt)
+        levels = np.repeat(np.arange(traj.n_levels), grid.n_nodes)
+        js = np.tile(np.arange(grid.n_nodes), traj.n_levels)
+        label = f"Trajectory[seeded explicit samples cfl={cfl} 20 steps]"
+        yield f"{_sha(*traj.pointwise(levels, js))}  {label}/pointwise"
+        ux, ut = sample_derivatives(traj.state(traj.n_levels - 1), grid)
+        yield f"{_sha(ux, ut)}  {label}/sample_derivatives"
 
 
 if __name__ == "__main__":
