@@ -7,6 +7,17 @@ rejected per subcommand, and every physical parameter is validated against
 its type invariants.  A resolved ``Config`` holds its values in one
 read-only mapping; ``emit`` writes them in canonical sorted order, so
 ``resolve(sub, parse_text(cfg.emit())) == cfg``.
+
+``resolve`` checks and derives in one fixed order, so a config with several
+bad values reports the first fault of the first step:
+
+1. the ranges of single scalar keys (``grid.cfl``, ``grid.dx``, the
+   positive and the nonnegative keys, ``run.c`` and ``ode.samples``), then
+   the ordering of the flux hexagon and of the trapezoid window, which the
+   horizon is read from;
+2. the derived domain (``grid.x_min``, ``grid.x_max``) and the sample times;
+3. the domain objects (nonlinearity, grid, initial data, profile ODE) and
+   the checks that compare several keys or fit one scenario.
 """
 from __future__ import annotations
 
@@ -18,6 +29,7 @@ from .errors import ParseError, ValidationError
 from .flux import check_which
 from .grid import GridSpec, InitialData, Nonlinearity
 from .selfsimilar import OdeParams, cp_constant
+from .solver import DEFAULT_BLOWUP_GUARD
 
 # Each key's default states its type: float, int, bool, str or a tuple of
 # floats.  A bare type marks a value computed during resolution.
@@ -39,7 +51,7 @@ _INIT = {
 
 def _run(t_end, sample_every, extra):
     return {"run.t_end": t_end, "run.sample_every": sample_every, "run.t_samples": tuple,
-            "run.guard": 1e8, "thresholds.conservation_tol": 0.01, **extra}
+            "run.guard": DEFAULT_BLOWUP_GUARD, "thresholds.conservation_tol": 0.01, **extra}
 
 
 SCHEMAS: dict[str, dict[str, object]] = {
@@ -86,7 +98,7 @@ SCHEMAS: dict[str, dict[str, object]] = {
         "flux.t0": 0.0,
         "flux.which": "plus",
         "thresholds.flux_residual": 1e-4,
-        "run.guard": 1e8,
+        "run.guard": DEFAULT_BLOWUP_GUARD,
     },
     "trapezoid": {
         **_NL, **_GRID, **_INIT,
@@ -95,7 +107,7 @@ SCHEMAS: dict[str, dict[str, object]] = {
         "trapezoid.t2": 1.0,
         "trapezoid.which": "plus",
         "thresholds.trapezoid_residual": 1e-4,
-        "run.guard": 1e8,
+        "run.guard": DEFAULT_BLOWUP_GUARD,
     },
     "selfsimilar": {
         "ode.p": 3.0,
@@ -113,6 +125,10 @@ SCHEMAS: dict[str, dict[str, object]] = {
 }
 
 SUBCOMMANDS = tuple(SCHEMAS)
+
+# the single-key range checks, wherever a schema has the key
+_POSITIVE = ("flux.h", "run.sample_every", "run.guard", "probe.length")
+_NONNEGATIVE = ("run.t_end", "flux.t0", "trapezoid.t1", "run.R", "run.margin_cells")
 
 
 def parse_text(text: str) -> dict[str, str]:
@@ -192,11 +208,20 @@ class Config:
         return Nonlinearity(p=self["nl.p"], sign=self["nl.sign"])
 
     def initial_data(self) -> InitialData:
-        return _initial_data(self.values)
+        """The ``init.*`` keys as the ``InitialData`` fields of the same names."""
+        kind = self["init.kind"]
+        if kind not in ("gaussian", "polynomial_bump"):
+            raise ValidationError("init.kind",
+                                  f"{kind!r} cannot be built from a config file")
+        return InitialData(**{k[len("init."):]: v for k, v in self.values.items()
+                              if k.startswith("init.")})
 
     def grid(self) -> GridSpec:
         x_min, x_max, dx = self["grid.x_min"], self["grid.x_max"], self["grid.dx"]
-        n_cells = int(round((x_max - x_min) / dx))
+        span = x_max - x_min
+        n_cells = round(span / dx)
+        if n_cells < 2 or abs(n_cells * dx - span) > 1e-6 * span:
+            raise ValidationError("grid.dx", "dx does not divide the domain span")
         return GridSpec(x_min=x_min, x_max=x_max, n_cells=n_cells, cfl=self["grid.cfl"])
 
     def ode_params(self) -> OdeParams:
@@ -204,7 +229,12 @@ class Config:
                          delta=self["ode.delta"], tol=self["ode.tol"])
 
     def horizon(self) -> float:
-        return _horizon(self.values)
+        """The time a run steps to: the flux hexagon's top, trapezoid.t2 or run.t_end."""
+        if "flux.t0" in self.values:
+            return self["flux.t0"] + 2.0 * self["flux.h"]
+        if "trapezoid.t2" in self.values:
+            return self["trapezoid.t2"]
+        return self["run.t_end"]
 
     def thresholds(self) -> dict:
         return {k.split(".", 1)[1]: v for k, v in self.values.items()
@@ -213,15 +243,13 @@ class Config:
 
 def resolve(subcommand: str, raw: dict[str, str] | None = None,
             overrides: dict[str, str] | None = None) -> Config:
-    """Fill defaults, convert types, compute derived values and validate."""
+    """Fill defaults and convert types, then check and derive in the module's order."""
     if subcommand not in SCHEMAS:
         raise ValidationError("subcommand", f"unknown subcommand {subcommand!r}")
     schema = SCHEMAS[subcommand]
-    merged: dict[str, str] = dict(raw or {})
-    for key, value in (overrides or {}).items():
-        merged[key] = value
+    merged: dict[str, str] = {**(raw or {}), **(overrides or {})}
 
-    values: dict[str, object] = {}
+    d: dict[str, object] = {}
     for key, text in merged.items():
         if key == "scenario":
             if text != subcommand:
@@ -230,119 +258,75 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
             continue
         if key not in schema:
             raise ValidationError(key, f"unknown key for {subcommand!r}")
-        values[key] = _convert(key, schema[key], text)
+        d[key] = _convert(key, schema[key], text)
     for key, default in schema.items():
-        values.setdefault(key, None if isinstance(default, type) else default)
+        d.setdefault(key, None if isinstance(default, type) else default)
+    # the proxy shows the derived values written into ``d`` below, so the
+    # derivation can already call the Config's builders
+    cfg = Config(subcommand=subcommand, values=MappingProxyType(d))
 
-    _resolve_derived(subcommand, values)
-    cfg = Config(subcommand=subcommand, values=MappingProxyType(values))
-    _validate(cfg)
-    return cfg
-
-
-def _initial_data(values: dict) -> InitialData:
-    """The ``init.*`` keys as the ``InitialData`` fields of the same names."""
-    kind = values["init.kind"]
-    if kind not in ("gaussian", "polynomial_bump"):
-        raise ValidationError("init.kind",
-                              f"{kind!r} cannot be built from a config file")
-    return InitialData(**{k[len("init."):]: v for k, v in values.items()
-                          if k.startswith("init.")})
-
-
-def _horizon(values: dict) -> float:
-    """The time a run steps to: the flux hexagon's top, trapezoid.t2 or run.t_end."""
-    if "flux.t0" in values:
-        return values["flux.t0"] + 2.0 * values["flux.h"]
-    if "trapezoid.t2" in values:
-        return values["trapezoid.t2"]
-    return values["run.t_end"]
-
-
-def _resolve_derived(subcommand: str, values: dict):
-    # range checks on the values the derivations below divide by or size with
-    if "grid.cfl" in values and not 0.0 < values["grid.cfl"] <= 1.0:
+    # 1. single-key ranges, and the windows the horizon is read from
+    if "grid.cfl" in d and not 0.0 < d["grid.cfl"] <= 1.0:
         raise ValidationError("grid.cfl", "cfl in (0,1]")
-    if "run.t_end" in values and values["run.t_end"] < 0.0:
-        raise ValidationError("run.t_end", "must be nonnegative")
-    # the flux hexagon and the trapezoid window, checked before a trajectory
-    # is sized for them
-    if "flux.h" in values:
-        if not values["flux.h"] > 0.0:
-            raise ValidationError("flux.h", "must be positive")
-        if not values["flux.a"] < values["flux.b"]:
-            raise ValidationError("flux.b", "must exceed flux.a")
-        if not values["flux.t0"] >= 0.0:
-            raise ValidationError("flux.t0", "must be nonnegative")
-    if "trapezoid.t1" in values:
-        if not values["trapezoid.t1"] >= 0.0:
-            raise ValidationError("trapezoid.t1", "must be nonnegative")
-        if not values["trapezoid.t1"] < values["trapezoid.t2"]:
-            raise ValidationError("trapezoid.t2", "must exceed trapezoid.t1")
-    if "grid.dx" in values:
-        dx = values["grid.dx"]
-        if not (isinstance(dx, float) and dx > 0.0):
-            raise ValidationError("grid.dx", "dx must be a positive number")
-        unset = [k for k in ("grid.x_min", "grid.x_max") if values[k] is None]
+    if "grid.dx" in d and not d["grid.dx"] > 0.0:
+        raise ValidationError("grid.dx", "dx must be a positive number")
+    for key in _POSITIVE:
+        if key in d and not d[key] > 0.0:
+            raise ValidationError(key, "must be positive")
+    for key in _NONNEGATIVE:
+        if key in d and d[key] < 0:
+            raise ValidationError(key, "must be nonnegative")
+    if "run.c" in d and not 0.0 < d["run.c"] < 1.0:
+        raise ValidationError("run.c", "speed fraction in (0,1)")
+    if "ode.samples" in d and d["ode.samples"] < 2:
+        raise ValidationError("ode.samples", "need at least two samples")
+    if "flux.a" in d and not d["flux.a"] < d["flux.b"]:
+        raise ValidationError("flux.b", "must exceed flux.a")
+    if "trapezoid.t1" in d and not d["trapezoid.t1"] < d["trapezoid.t2"]:
+        raise ValidationError("trapezoid.t2", "must exceed trapezoid.t1")
+
+    # 2. the derived domain and sample times
+    if "grid.dx" in d:
+        unset = [k for k in ("grid.x_min", "grid.x_max") if d[k] is None]
         if len(unset) == 1:
             raise ValidationError(unset[0], "set grid.x_min and grid.x_max together")
         if unset:
-            support = _initial_data(values).support_interval()
+            support = cfg.initial_data().support_interval()
             radius = max(abs(support[0]), abs(support[1])) if support else 1.0
             # the lattice support cone spreads one cell per step, i.e. at
             # speed 1/cfl, so undersize domains would trip DomainTooSmall
-            half = radius + _horizon(values) / values["grid.cfl"] + 2.0
-            n_half = int(math.ceil(half / dx - 1e-9))
-            values["grid.x_min"] = -n_half * dx
-            values["grid.x_max"] = n_half * dx
-        span = values["grid.x_max"] - values["grid.x_min"]
-        n_cells = round(span / dx)
-        if n_cells < 2 or abs(n_cells * dx - span) > 1e-6 * span:
-            raise ValidationError("grid.dx", "dx does not divide the domain span")
-    if "run.t_end" in values and values.get("run.t_samples") is None:
-        t_end = values["run.t_end"]
-        every = values["run.sample_every"]
-        if not every > 0.0:
-            raise ValidationError("run.sample_every", "must be positive")
-        n = int(math.floor(t_end / every + 1e-9))
-        samples = [round(i * every, 12) for i in range(n + 1)]
-        if samples[-1] < t_end - 1e-9:
-            samples.append(t_end)
-        values["run.t_samples"] = tuple(samples)
+            half = radius + cfg.horizon() / d["grid.cfl"] + 2.0
+            n_half = int(math.ceil(half / d["grid.dx"] - 1e-9))
+            d["grid.x_min"] = -n_half * d["grid.dx"]
+            d["grid.x_max"] = n_half * d["grid.dx"]
+    if "run.t_end" in d:
+        if d["run.t_samples"] is None:
+            t_end, every = d["run.t_end"], d["run.sample_every"]
+            n = int(math.floor(t_end / every + 1e-9))
+            samples = [round(i * every, 12) for i in range(n + 1)]
+            if samples[-1] < t_end - 1e-9:
+                samples.append(t_end)
+            d["run.t_samples"] = tuple(samples)
+        if not d["run.t_samples"] or min(d["run.t_samples"]) < 0.0:
+            raise ValidationError("run.t_samples",
+                                  "need at least one sample time, none negative")
 
-
-def _validate(cfg: Config):
-    d = cfg.values
+    # 3. the domain objects, and the checks across keys
     if "nl.p" in d:
         cfg.nonlinearity()
     if "grid.dx" in d:
         cfg.grid()
         cfg.initial_data()
-    if "run.t_samples" in d:
-        ts = d["run.t_samples"]
-        if not ts or min(ts) < 0.0:
-            raise ValidationError("run.t_samples",
-                                  "need at least one sample time, none negative")
-    for key in ("run.guard", "probe.length"):
-        if key in d and not d[key] > 0.0:
-            raise ValidationError(key, "must be positive")
-    for key in ("run.R", "run.margin_cells"):
-        if key in d and d[key] < 0:
-            raise ValidationError(key, "must be nonnegative")
-    if "ode.samples" in d and d["ode.samples"] < 2:
-        raise ValidationError("ode.samples", "need at least two samples")
-    if cfg.subcommand == "decay" and not 0.0 < d["run.c"] < 1.0:
-        raise ValidationError("run.c", "speed fraction in (0,1)")
-    if cfg.subcommand == "concentration":
+    if subcommand == "concentration":
         if not d["init.mirror"]:
             raise ValidationError("init.mirror",
                                   "concentration needs even (mirrored) data")
         if d["init.velocity_fraction"] != 0.0:
             raise ValidationError("init.velocity_fraction",
                                   "nonzero velocity breaks evenness")
-    if cfg.subcommand == "focusing" and d["nl.sign"] != "focusing":
+    if subcommand == "focusing" and d["nl.sign"] != "focusing":
         raise ValidationError("nl.sign", "focusing scenario needs nl.sign = focusing")
-    if cfg.subcommand in ("decay", "retraction", "conjecture", "concentration", "tail") \
+    if subcommand in ("decay", "retraction", "conjecture", "concentration", "tail") \
             and d["nl.sign"] == "focusing":
         raise ValidationError("nl.sign", "directional energy scenarios are defocusing")
     for key in ("flux.which", "trapezoid.which"):
@@ -369,4 +353,4 @@ def _validate(cfg: Config):
             if not p > 1.0:
                 raise ValidationError("cp.p_values", "p must exceed 1")
             cp_constant(p, "cp.p_values")
-
+    return cfg

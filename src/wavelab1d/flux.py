@@ -219,11 +219,10 @@ def _gather(traj: Trajectory, levels, xs):
     j0 = np.floor(jf).astype(int)
     np.clip(j0, 0, grid.n_cells - 1, out=j0)
     th = jf - j0
-    u_a, ux_a, ut_a = traj.pointwise(levels, j0)
-    u_b, ux_b, ut_b = traj.pointwise(levels, j0 + 1)
-    return (u_a * (1 - th) + u_b * th,
-            ux_a * (1 - th) + ux_b * th,
-            ut_a * (1 - th) + ut_b * th)
+    # one gather of both neighbours: rows (u, u_x, u_t), nodes j0 then j0 + 1
+    both = np.stack(traj.pointwise(np.tile(levels, 2), np.concatenate((j0, j0 + 1))))
+    n = j0.size
+    return both[:, :n] * (1 - th) + both[:, n:] * th
 
 
 def check_which(which: str, field: str = "which"):

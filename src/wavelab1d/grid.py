@@ -249,9 +249,7 @@ class InitialData:
             if abs(self.amplitude) <= SUPPORT_TRUNCATION:
                 return 0.0
             return self.width * math.sqrt(math.log(abs(self.amplitude) / SUPPORT_TRUNCATION))
-        if self.kind == "polynomial_bump":
-            return self.radius if self.amplitude != 0.0 else 0.0
-        raise ValidationError("init.kind", f"{self.kind} has no truncation radius")
+        return self.radius if self.amplitude != 0.0 else 0.0
 
     def _base(self, x, derivative):
         """The unmirrored profile b(x), or b'(x) when ``derivative``."""

@@ -97,13 +97,11 @@ def cp_constant(p: float, field: str = "p") -> float:
     return c_p
 
 
-def potential(params: OdeParams, z, c_p: float | None = None):
+def potential(params: OdeParams, z):
     """P(z) = C_p - beta(beta+1) z^2/2 + |z|^(p+1)/(p+1)."""
     z = np.asarray(z, dtype=float)
-    if c_p is None:
-        c_p = cp_constant(params.p)
     bb = params.beta * (params.beta + 1.0)
-    return c_p - 0.5 * bb * z * z + np.abs(z) ** (params.p + 1.0) / (params.p + 1.0)
+    return cp_constant(params.p) - 0.5 * bb * z * z + np.abs(z) ** (params.p + 1.0) / (params.p + 1.0)
 
 
 # Dormand-Prince 5(4) tableau
@@ -324,7 +322,7 @@ def semi_energy(sol: OdeSolution, params: OdeParams) -> SemiEnergyReport:
     f = sol.f_samples
     fp = sol.fprime_samples
     w = 1.0 - y * y
-    P = potential(params, f, c_p)
+    P = potential(params, f)
     etilde = 0.5 * w ** (2.0 * beta + 2.0) * fp * fp + w ** (2.0 * beta + 1.0) * P
     rate = -2.0 * (2.0 * beta + 1.0) * y * w ** (2.0 * beta) * P
     trace = (1.0 - y) ** (1.0 + beta) * fp

@@ -85,6 +85,21 @@ def test_out_of_range_values_rejected(subcommand, key, text):
     assert info.value.field == key
 
 
+@pytest.mark.parametrize("subcommand, range_key, overrides", [
+    ("decay", "run.guard", {"run.guard": "0", "nl.p": "0.5"}),
+    ("simulate", "run.guard", {"run.guard": "0", "grid.x_min": "0", "grid.x_max": "1",
+                               "grid.dx": "0.3"}),
+    ("tail", "run.R", {"run.R": "-3", "init.kind": "explicit_samples"}),
+    ("conjecture", "probe.length", {"probe.length": "0", "nl.p": "0.5"}),
+    ("decay", "run.c", {"run.c": "1", "run.t_samples": "-1"})])
+def test_single_key_range_fault_reported_first(subcommand, range_key, overrides):
+    # the second fault is caught later: by a domain object, the domain or the
+    # sample times
+    with pytest.raises(ValidationError) as info:
+        resolve(subcommand, {}, overrides)
+    assert info.value.field == range_key
+
+
 def test_overflowing_cp_rejected_at_resolve():
     # before the profile is integrated, not after
     with pytest.raises(InvalidParams):

@@ -35,10 +35,10 @@ def test_p_bound_holds_at_cp():
     # min over z of [P(z) - z^4/(p+2)] = 0, attained at z^2 = 10 for p = 3
     params = OdeParams(p=3.0, a=0.0, b=0.0)
     z = np.linspace(0.0, 5.0, 2_000_001)
-    gap = potential(params, z, cp_constant(3.0)) - z ** 4 / 5.0
+    gap = potential(params, z) - z ** 4 / 5.0
     assert gap.min() >= -1e-9
     assert abs(z[gap.argmin()] ** 2 - 10.0) <= 1e-3
-    assert potential(params, 0.0, cp_constant(3.0)) == pytest.approx(5.0)
+    assert potential(params, 0.0) == pytest.approx(5.0)
 
 
 def test_invalid_params():

@@ -27,9 +27,10 @@ next two pin the ray positions of ``trapezoid`` and ``flux-check`` when
 the ray starts at a lattice time t > 0 and falls between nodes (cfl 0.9).
 The next one steps even data on an even node count, so the stepper's
 half-lattice path runs with its ghost node mirroring the last stepped node
-(every other mirror-symmetric run has an odd node count).  The last one
+(every other mirror-symmetric run has an odd node count).  The next one
 simulates focusing data, which write state files and a header-only
-``diagnostics.csv``.
+``diagnostics.csv``.  The last six each set one bad value, so they write
+only ``error.json``, whose digest pins the exception type and message.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -96,6 +97,13 @@ EXTRA_RUNS = (
     ("simulate", ("grid.x_min=-12.001", "grid.x_max=12.001")),
     # focusing data have no energy diagnostics: a header-only diagnostics.csv
     ("simulate", ("nl.sign=focusing", "init.amplitude=0.5", "run.t_end=1")),
+    # one bad value each: the run writes only error.json
+    ("simulate", ("grid.cfl=1.5",)),
+    ("flux-check", ("flux.h=0",)),
+    ("simulate", ("grid.x_min=0", "grid.x_max=1", "grid.dx=0.3")),
+    ("focusing", ("run.guard=0",)),
+    ("selfsimilar", ("ray.t_list=40,10",)),
+    ("cp-table", ("cp.p_values=2,1.02",)),
 )
 
 
