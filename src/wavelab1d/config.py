@@ -265,7 +265,7 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
     # derivation can already call the Config's builders
     cfg = Config(subcommand=subcommand, values=MappingProxyType(d))
 
-    # 1. single-key ranges, and the windows the horizon is read from
+    # 1. single-key ranges, then the flux hexagon and the trapezoid window
     if "grid.cfl" in d and not 0.0 < d["grid.cfl"] <= 1.0:
         raise ValidationError("grid.cfl", "cfl in (0,1]")
     if "grid.dx" in d and not d["grid.dx"] > 0.0:

@@ -101,7 +101,8 @@ def potential(params: OdeParams, z):
     """P(z) = C_p - beta(beta+1) z^2/2 + |z|^(p+1)/(p+1)."""
     z = np.asarray(z, dtype=float)
     bb = params.beta * (params.beta + 1.0)
-    return cp_constant(params.p) - 0.5 * bb * z * z + np.abs(z) ** (params.p + 1.0) / (params.p + 1.0)
+    return (cp_constant(params.p) - 0.5 * bb * z * z
+            + np.abs(z) ** (params.p + 1.0) / (params.p + 1.0))
 
 
 # Dormand-Prince 5(4) tableau
