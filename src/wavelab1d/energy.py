@@ -69,10 +69,9 @@ class EnergyDensities:
 
     def component(self, which: str) -> np.ndarray:
         try:
-            return {"plus": self.e_plus, "minus": self.e_minus,
-                    "full": self.e_full, "momentum": self.momentum_density}[which]
+            return {"plus": self.e_plus, "minus": self.e_minus, "full": self.e_full}[which]
         except KeyError:
-            raise ValidationError("which", "expected plus, minus, full or momentum")
+            raise ValidationError("which", "expected plus, minus or full")
 
 
 def compute_densities(state: FieldState, grid: GridSpec, nl: Nonlinearity) -> EnergyDensities:

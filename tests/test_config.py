@@ -1,8 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wavelab1d import config
+from wavelab1d.cli import dispatch
 from wavelab1d.config import SCHEMAS, SUBCOMMANDS, parse_text, resolve
 from wavelab1d.errors import InvalidParams, ParseError, ValidationError
+from wavelab1d.grid import InitialData
 
 
 def test_parse_text_basics():
@@ -78,7 +81,21 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("simulate", "run.sample_every", "0"), ("selfsimilar", "ray.R", "2"),
     ("cp-table", "cp.p_values", "0.5,2"), ("simulate", "init.kind", "explicit_samples"),
     ("focusing", "init.radius", "0"), ("focusing", "init.power", "0"),
-    ("simulate", "init.width", "0")])
+    ("simulate", "init.width", "0"),
+    # every threshold is nonnegative, and the norm a focusing run must reach positive
+    ("tail", "thresholds.conservation_tol", "-1"), ("decay", "thresholds.energy_ratio", "-1"),
+    ("decay", "thresholds.norm_ratio", "-1"),
+    ("retraction", "thresholds.retraction_floor", "-1"),
+    ("retraction", "thresholds.monotonicity_tol", "-1"),
+    ("conjecture", "thresholds.retraction_ratio", "-1"),
+    ("conjecture", "thresholds.weak_probe_ratio", "-1"),
+    ("conjecture", "thresholds.strong_probe_ratio", "-1"),
+    ("focusing", "thresholds.norm_blowup", "-1"), ("focusing", "thresholds.norm_blowup", "0"),
+    ("concentration", "thresholds.q_floor_ratio", "-1"),
+    ("concentration", "thresholds.evenness_tol", "-1"),
+    ("flux-check", "thresholds.flux_residual", "-1"),
+    ("trapezoid", "thresholds.trapezoid_residual", "-1"),
+    ("selfsimilar", "thresholds.semi_energy_mono", "-1")])
 def test_out_of_range_values_rejected(subcommand, key, text):
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {key: text})
@@ -91,13 +108,52 @@ def test_out_of_range_values_rejected(subcommand, key, text):
                                "grid.dx": "0.3"}),
     ("tail", "run.R", {"run.R": "-3", "init.kind": "explicit_samples"}),
     ("conjecture", "probe.length", {"probe.length": "0", "nl.p": "0.5"}),
-    ("decay", "run.c", {"run.c": "1", "run.t_samples": "-1"})])
+    ("decay", "run.c", {"run.c": "1", "run.t_samples": "-1"}),
+    ("decay", "thresholds.norm_ratio", {"thresholds.norm_ratio": "-1", "nl.p": "0.5"})])
 def test_single_key_range_fault_reported_first(subcommand, range_key, overrides):
     # the second fault is caught later: by a domain object, the domain or the
     # sample times
     with pytest.raises(ValidationError) as info:
         resolve(subcommand, {}, overrides)
     assert info.value.field == range_key
+
+
+def test_focusing_has_no_conservation_tolerance():
+    # its runner gates no conservation, so the key is unknown like any other
+    with pytest.raises(ValidationError) as info:
+        resolve("focusing", {}, {"thresholds.conservation_tol": "0.01"})
+    assert str(info.value) == "thresholds.conservation_tol: unknown key for 'focusing'"
+
+
+# simulate gates nothing; the benchmark's simulate check (benchmarks/workloads.py)
+# reads this key from the manifest as the drift bound of diagnostics.csv
+UNREAD = {("simulate", "thresholds.conservation_tol")}
+
+
+@pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+def test_every_schema_key_is_read(subcommand, tmp_path, monkeypatch):
+    # a key is read when Config.__getitem__ returns it, when initial_data()
+    # passes it on to InitialData or when resolve derives run.t_samples from
+    # it; thresholds() only echoes the keys into the report
+    read = set()
+    getitem = config.Config.__getitem__
+
+    def spy_getitem(cfg, key):
+        read.add(key)
+        return getitem(cfg, key)
+
+    def spy_init(**fields):
+        read.update(f"init.{name}" for name in fields)
+        return InitialData(**fields)
+
+    monkeypatch.setattr(config.Config, "__getitem__", spy_getitem)
+    monkeypatch.setattr(config, "InitialData", spy_init)
+    schema = SCHEMAS[subcommand]
+    cfg = resolve(subcommand, {}, {"grid.dx": "0.02"} if "grid.dx" in schema else {})
+    dispatch(cfg, tmp_path, quiet=True)
+    if "run.t_samples" in read:
+        read.add("run.sample_every")
+    assert {(subcommand, key) for key in schema if key not in read} <= UNREAD
 
 
 def test_overflowing_cp_rejected_at_resolve():

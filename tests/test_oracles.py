@@ -3,7 +3,8 @@
 Scaling: u_lam(t, x) = lam^beta u(lam t, lam x), beta = 2/(p-1), maps the
 equation onto itself, and with dx and dt divided by lam the leapfrog update
 maps onto itself too.  When lam and lam^beta are powers of two every
-floating-point operation scales exactly, so the law holds bit for bit.
+floating-point operation scales exactly, so the law holds bit for bit, also
+for the time and sup at which a focusing run meets a scaled blow-up guard.
 
 Self-similar solutions: every profile f of the ``selfsimilar`` ODE gives the
 exact defocusing solution u = x^(-beta) f(t/x) on x > t.  The stepper must
@@ -17,6 +18,7 @@ import pytest
 
 from wavelab1d import GridSpec, InitialData, Nonlinearity, Observer, evolve
 from wavelab1d.energy import compute_densities, conserved_pair, interval_energy, trapezoid
+from wavelab1d.errors import BlowUpDetected
 from wavelab1d.selfsimilar import OdeParams, integrate_profile, lift_field
 
 
@@ -50,6 +52,35 @@ def test_power_of_two_scaling_is_exact(p, lam, cfl, sign):
         assert u_s.tobytes() == (lam ** beta * u).tobytes()
         assert v_s.tobytes() == (lam ** (beta + 1.0) * v).tobytes()
         assert pair_s == tuple(lam ** (2.0 * beta + 1.0) * e for e in pair)
+
+
+def _focusing_blowup(p, lam, cfl, guard):
+    """BlowUpDetected's (t, sup) for a focusing bump scaled by lam, with the
+    guard scaled like u."""
+    beta = 2.0 / (p - 1.0)
+    init = InitialData.polynomial_bump(amplitude=6.0 * lam ** beta, center=0.7 / lam,
+                                       radius=1.0 / lam, power=3, velocity_fraction=0.5)
+    with pytest.raises(BlowUpDetected) as info:
+        evolve(init, GridSpec(-8.0 / lam, 8.0 / lam, 4000, cfl=cfl),
+               Nonlinearity(p=p, sign="focusing"), 5.0 / lam, guard=guard * lam ** beta)
+    return info.value.t, info.value.sup_value
+
+
+@pytest.mark.parametrize("guard", [1e8, 1e3, 50.0])
+@pytest.mark.parametrize("cfl", [1.0, 0.9])
+@pytest.mark.parametrize("p, lam", [(2.0, 2.0), (2.0, 4.0), (3.0, 2.0), (3.0, 4.0),
+                                    (5.0, 4.0)])
+def test_focusing_blowup_maps_exactly_under_power_of_two_scaling(p, lam, cfl, guard):
+    """The blow-up time maps to t/lam and the sup to lam^beta sup, bit for bit.
+
+    Only integer p: at p = 2.5 and lam = 8 the time still maps exactly, but
+    the sup differs in its last bits in 5 of 6 cases, because np.power does
+    not scale exactly.
+    """
+    t, sup = _focusing_blowup(p, 1.0, cfl, guard)
+    t_s, sup_s = _focusing_blowup(p, lam, cfl, guard)
+    assert t_s == t / lam
+    assert sup_s == lam ** (2.0 / (p - 1.0)) * sup
 
 
 SELF_SIMILAR_CASES = [(2.0, 1.0, 0.0), (2.5, 1.0, 0.0), (3.0, 1.0, 0.0), (3.0, 2.0, 0.5),

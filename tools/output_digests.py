@@ -29,7 +29,7 @@ The next one steps even data on an even node count, so the stepper's
 half-lattice path runs with its ghost node mirroring the last stepped node
 (every other mirror-symmetric run has an odd node count).  The next one
 simulates focusing data, which write state files and a header-only
-``diagnostics.csv``.  The last six each set one bad value, so they write
+``diagnostics.csv``.  The last eight each set one bad value, so they write
 only ``error.json``, whose digest pins the exception type and message.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
@@ -104,6 +104,8 @@ EXTRA_RUNS = (
     ("focusing", ("run.guard=0",)),
     ("selfsimilar", ("ray.t_list=40,10",)),
     ("cp-table", ("cp.p_values=2,1.02",)),
+    ("tail", ("thresholds.conservation_tol=-1",)),
+    ("focusing", ("thresholds.norm_blowup=0",)),
 )
 
 
