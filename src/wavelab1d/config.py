@@ -350,7 +350,5 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
         if not d["cp.p_values"]:
             raise ValidationError("cp.p_values", "need at least one p")
         for p in d["cp.p_values"]:
-            if not p > 1.0:
-                raise ValidationError("cp.p_values", "p must exceed 1")
             cp_constant(p, "cp.p_values")
     return cfg

@@ -183,7 +183,8 @@ class InitialData:
     For the analytic kinds the velocity is u1 = -velocity_fraction * u0', so
     velocity_fraction = 1 is a pure right-mover and 0 is time-symmetric data.
     ``mirror`` adds the spatial reflection of the data, producing even data
-    (two-bump profiles for the concentration experiments).
+    (two-bump profiles for the concentration experiments).  ``width`` and
+    ``radius`` must be positive and ``power`` at least 1 whatever the kind.
     """
 
     kind: str
@@ -200,13 +201,12 @@ class InitialData:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError("init.kind", f"must be one of {_KINDS}")
-        if self.kind == "polynomial_bump":
-            if self.radius <= 0:
-                raise ValidationError("init.radius", "bump radius must be positive")
-            if self.power < 1:
-                raise ValidationError("init.power", "bump power must be >= 1")
-        if self.kind == "gaussian" and self.width <= 0:
-            raise ValidationError("init.width", "gaussian width must be positive")
+        if not self.radius > 0:
+            raise ValidationError("init.radius", "must be positive")
+        if not self.power >= 1:
+            raise ValidationError("init.power", "must be >= 1")
+        if not self.width > 0:
+            raise ValidationError("init.width", "must be positive")
         if self.kind == "explicit_samples":
             if self.u_samples is None or self.v_samples is None:
                 raise ValidationError("init", "explicit_samples needs u_samples and v_samples")
@@ -220,17 +220,12 @@ class InitialData:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def gaussian(cls, amplitude=1.0, center=0.0, width=1.0, velocity_fraction=0.0,
-                 mirror=False):
-        return cls(kind="gaussian", amplitude=amplitude, center=center, width=width,
-                   velocity_fraction=velocity_fraction, mirror=mirror)
+    def gaussian(cls, **fields):
+        return cls(kind="gaussian", **fields)
 
     @classmethod
-    def polynomial_bump(cls, amplitude=1.0, center=0.0, radius=1.0, power=2,
-                        velocity_fraction=0.0, mirror=False):
-        return cls(kind="polynomial_bump", amplitude=amplitude, center=center,
-                   radius=radius, power=power, velocity_fraction=velocity_fraction,
-                   mirror=mirror)
+    def polynomial_bump(cls, **fields):
+        return cls(kind="polynomial_bump", **fields)
 
     @classmethod
     def explicit(cls, u, v):
@@ -336,7 +331,7 @@ class InitialData:
                 return None
             return grid.nodes[nz[0]], grid.nodes[nz[-1]]
         r = self._truncation_radius()
-        if r == 0.0 or self.amplitude == 0.0:
+        if r == 0.0:
             return None
         lo, hi = self.center - r, self.center + r
         if self.mirror:

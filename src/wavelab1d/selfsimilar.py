@@ -64,31 +64,16 @@ def cp_constant(p: float, field: str = "p") -> float:
     """Smallest C_p with P(z) >= |z|^(p+1)/(p+2).
 
     Equals the maximum over z >= 0 of beta(beta+1) z^2/2
-    - z^(p+1)/((p+1)(p+2)); the stationary point is bracketed and located
-    by bisection, then the closed form is evaluated there.  Raises
-    ``InvalidParams`` naming ``field`` where that overflows (p near 1, or p
-    in the thousands).
+    - z^(p+1)/((p+1)(p+2)), evaluated at its closed-form root
+    z = ((p+2) beta(beta+1))^(1/(p-1)).  Raises ``InvalidParams`` naming
+    ``field`` where that overflows a float, which happens only for p near 1.
     """
     if not p > 1.0:
         raise InvalidParams(field, "p must exceed 1")
     beta = 2.0 / (p - 1.0)
     bb = beta * (beta + 1.0)
-
-    def slope(z):
-        # derivative of the objective divided by z (same root, better scaled)
-        return bb - z ** (p - 1.0) / (p + 2.0)
-
     try:
-        # the root sits at ((p+2) beta(beta+1))^(1/(p-1)); bracket around it
-        z_guess = ((p + 2.0) * bb) ** (1.0 / (p - 1.0))
-        lo, hi = 0.5 * z_guess, 2.0 * z_guess
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        z = 0.5 * (lo + hi)
+        z = ((p + 2.0) * bb) ** (1.0 / (p - 1.0))
         c_p = bb * z * z / 2.0 - z ** (p + 1.0) / ((p + 1.0) * (p + 2.0))
     except OverflowError:
         c_p = math.inf

@@ -72,7 +72,7 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("flux-check", "flux.which", "full"), ("trapezoid", "trapezoid.which", "full"),
     # C_p overflows a float
     ("selfsimilar", "ode.p", "1.027"), ("cp-table", "cp.p_values", "2,1.02"),
-    ("cp-table", "cp.p_values", "1e4"),
+    ("cp-table", "cp.p_values", "1.01"),
     # the flux hexagon and the trapezoid window
     ("flux-check", "flux.h", "-0.5"), ("flux-check", "flux.h", "0"),
     ("flux-check", "flux.b", "-1"), ("flux-check", "flux.t0", "-0.1"),
@@ -82,6 +82,9 @@ def test_non_finite_values_rejected(subcommand, key, text):
     ("cp-table", "cp.p_values", "0.5,2"), ("simulate", "init.kind", "explicit_samples"),
     ("focusing", "init.radius", "0"), ("focusing", "init.power", "0"),
     ("simulate", "init.width", "0"),
+    # every analytic field is checked, whichever kind reads it
+    ("decay", "init.radius", "-5"), ("decay", "init.power", "0"),
+    ("concentration", "init.width", "-1"),
     # every threshold is nonnegative, and the norm a focusing run must reach positive
     ("tail", "thresholds.conservation_tol", "-1"), ("decay", "thresholds.energy_ratio", "-1"),
     ("decay", "thresholds.norm_ratio", "-1"),

@@ -31,6 +31,15 @@ def test_zero_state_densities():
         assert np.all(arr == 0.0)
 
 
+def test_component_rejects_an_unknown_name():
+    g = GridSpec(-1.0, 1.0, 20)
+    d = compute_densities(_state(np.zeros(21), np.zeros(21)), g, P3)
+    assert d.component("minus") is d.e_minus
+    with pytest.raises(ValidationError, match="expected plus, minus or full") as info:
+        d.component("momentum")
+    assert info.value.field == "which"
+
+
 def test_plateau_densities():
     # u = 1, u_t = 0 on a wide plateau: e+ = e- = 1/8, e_full = 1/4
     g = GridSpec(-2.0, 2.0, 40)

@@ -34,6 +34,9 @@ def test_path_validation():
         PolygonPath([(0, 0), (0, 1), (1, 1), (1, 0)])  # clockwise
     p = rectangle(-1.0, 1.0, 0.0, 0.5)
     assert p.tags == ["horizontal", "vertical", "horizontal", "vertical"]
+    # a repeated closing vertex is dropped
+    closed = PolygonPath([(-1.0, 0.0), (1.0, 0.0), (1.0, 0.5), (-1.0, 0.5), (-1.0, 0.0)])
+    assert closed.vertices == p.vertices
     hexagon = example_flux_polygon(-1.0, 0.5, 0.25, 0.0)
     assert hexagon.tags == ["horizontal", "right_characteristic",
                             "left_characteristic", "horizontal",
@@ -94,9 +97,12 @@ def test_self_crossing_path_rejected_on_and_off_the_lattice():
 
 
 def test_self_crossing_path_rejected_at_construction():
-    # the path holds its own invariant: no trajectory is needed to reject it
+    # the path holds its own invariant: no trajectory is needed to reject it.
+    # The last path is two triangles that touch: its vertex (3, 2) lies on
+    # its first edge, which no edge crosses
     for verts in ([(0.0, 0.0), (0.9, 0.9), (0.0, 0.9), (0.72, 0.18), (0.72, 0.0)],
-                  [(0.005, 0.0), (0.905, 0.9), (0.005, 0.9), (0.725, 0.18), (0.725, 0.0)]):
+                  [(0.005, 0.0), (0.905, 0.9), (0.005, 0.9), (0.725, 0.18), (0.725, 0.0)],
+                  [(1.0, 0.0), (4.0, 3.0), (4.0, 1.0), (3.0, 2.0), (1.0, 2.0)]):
         with pytest.raises(ValidationError, match="not simple"):
             PolygonPath(verts)
 

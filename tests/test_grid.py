@@ -87,6 +87,18 @@ def test_mirror_makes_even_data():
     assert np.all(u1 == u1[::-1])
 
 
+@pytest.mark.parametrize("build, fields, name", [
+    (InitialData.gaussian, {"radius": -1}, "init.radius"),
+    (InitialData.polynomial_bump, {"width": 0.0}, "init.width"),
+    (InitialData.gaussian, {"width": float("nan")}, "init.width"),
+])
+def test_constructors_check_every_analytic_field(build, fields, name):
+    # a field is checked even where the kind does not read it
+    with pytest.raises(ValidationError) as info:
+        build(**fields)
+    assert info.value.field == name
+
+
 def test_explicit_samples_roundtrip():
     g = GridSpec(0.0, 1.0, 10)
     init = InitialData.explicit(np.arange(11.0), np.ones(11))

@@ -31,6 +31,30 @@ def test_cp_constant_matches_scan(p):
     assert abs(cp_constant(p) - scan_cp(p, n=400_001)) <= 1e-6 * max(1.0, cp_constant(p))
 
 
+def test_cp_constant_bits_at_the_cli_defaults():
+    # cp-table's default p values; the benchmark's semi-energy runs read p = 3
+    assert cp_constant(2.0) == 576.0
+    assert cp_constant(3.0) == 5.0
+    assert cp_constant(5.0) == float.fromhex("0x1.2548eb9151e84p-1")
+
+
+def test_cp_constant_at_large_p():
+    # reference from 200-bit mpmath
+    assert cp_constant(1e4) == pytest.approx(1.0002387768104223e-4, rel=1e-12)
+
+
+@given(st.floats(6.0, 1e6))
+@settings(max_examples=50, deadline=None)
+def test_cp_constant_matches_its_reduced_form(p):
+    # at the root z^(p-1) = (p+2) bb, so C_p = bb z^2 (p-1) / (2 (p+1))
+    beta = 2.0 / (p - 1.0)
+    bb = beta * (beta + 1.0)
+    z = ((p + 2.0) * bb) ** (1.0 / (p - 1.0))
+    c_p = cp_constant(p)
+    assert math.isfinite(c_p)
+    assert c_p == pytest.approx(bb * z * z * (p - 1.0) / (2.0 * (p + 1.0)), rel=1e-12)
+
+
 def test_p_bound_holds_at_cp():
     # min over z of [P(z) - z^4/(p+2)] = 0, attained at z^2 = 10 for p = 3
     params = OdeParams(p=3.0, a=0.0, b=0.0)

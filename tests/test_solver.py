@@ -422,6 +422,9 @@ def test_trajectory_record_levels():
     evolve(init, g, P3, 1.0, observers=[Observer([0.5], direct.append)])
     assert np.all(s.u == direct[0].u)
     assert np.all(s.v == direct[0].v)
+    assert traj.level_of(1.0) == 50
+    with pytest.raises(ValidationError, match="beyond the stored trajectory"):
+        traj.level_of(1.02)
 
 
 @pytest.mark.parametrize("t_end", [1.0, 0.0])

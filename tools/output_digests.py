@@ -29,8 +29,13 @@ The next one steps even data on an even node count, so the stepper's
 half-lattice path runs with its ghost node mirroring the last stepped node
 (every other mirror-symmetric run has an odd node count).  The next one
 simulates focusing data, which write state files and a header-only
-``diagnostics.csv``.  The last eight each set one bad value, so they write
+``diagnostics.csv``.  The next eight each set one bad value, so they write
 only ``error.json``, whose digest pins the exception type and message.
+The last eight reach branches that no earlier run takes: ``simulate`` at
+p = 2 and at p = 5 (the power term's own kernels), with the source
+disabled, on an asymmetric domain (nodes from ``linspace``) and to
+t_end = 0 (no step); ``flux-check`` and ``trapezoid`` on the minus pair;
+and ``cp-table`` at p = 2.5 and at p = 1e4.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -44,11 +49,13 @@ with zero weight (three 1024-row blocks); ``integrate_profile`` with
 ``morawetz_accumulator`` on a negative bump, which samples to -0.0.  Two
 lines digest the ``u_levels`` that ``Trajectory.record`` stores: the
 negative bump at cfl 0.9, and mirrored data at cfl 1, which the stepper
-evolves on half the lattice.  The last four digest ``Trajectory.pointwise``
+evolves on half the lattice.  The next four digest ``Trajectory.pointwise``
 (u, u_x and u_t at every node of every level) and ``sample_derivatives`` of
 the last state, for seeded samples whose cone reaches nodes 2 and n - 2,
 at cfl 1 and 0.9: no CLI run reaches an end node's one-sided stencil
-through a trajectory.
+through a trajectory.  The last line digests ``flux_loop``'s edge
+integrals around a rectangle for the plus and the minus pair: no CLI run
+has a vertical flux edge.
 """
 from __future__ import annotations
 
@@ -60,9 +67,9 @@ from pathlib import Path
 import numpy as np
 
 from wavelab1d import (GridSpec, InitialData, Nonlinearity, OdeParams, Trajectory,
-                       evolve_by_dalembert, integrate_profile, morawetz_accumulator,
-                       pairwise_weighted_distance, picard_fixed_point, sample_derivatives,
-                       semi_energy, virial_check)
+                       evolve_by_dalembert, flux_loop, integrate_profile,
+                       morawetz_accumulator, pairwise_weighted_distance, picard_fixed_point,
+                       rectangle, sample_derivatives, semi_energy, virial_check)
 from wavelab1d.cli import main
 from wavelab1d.config import SUBCOMMANDS
 from wavelab1d.manifest import MANIFEST_NAME
@@ -106,6 +113,18 @@ EXTRA_RUNS = (
     ("cp-table", ("cp.p_values=2,1.02",)),
     ("tail", ("thresholds.conservation_tol=-1",)),
     ("focusing", ("thresholds.norm_blowup=0",)),
+    # power_term's p = 2 and p = 5 kernels, the disabled source, linspace
+    # nodes on an asymmetric domain and a run of no steps
+    ("simulate", ("nl.p=2", "run.t_end=2")),
+    ("simulate", ("nl.p=5", "run.t_end=2")),
+    ("simulate", ("nl.sign=disabled", "run.t_end=2")),
+    ("simulate", ("grid.x_min=-10", "grid.x_max=12", "run.t_end=2")),
+    ("simulate", ("run.t_end=0",)),
+    # the minus pair on rays
+    ("flux-check", ("flux.which=minus",)),
+    ("trapezoid", ("trapezoid.which=minus",)),
+    # C_p off the default p values, and at a large p
+    ("cp-table", ("cp.p_values=2.5,1e4",)),
 )
 
 
@@ -202,6 +221,13 @@ def oracle_digests():
         yield f"{_sha(*traj.pointwise(levels, js))}  {label}/pointwise"
         ux, ut = sample_derivatives(traj.state(traj.n_levels - 1), grid)
         yield f"{_sha(ux, ut)}  {label}/sample_derivatives"
+    # no CLI run has a vertical flux edge
+    traj = Trajectory.record(InitialData.polynomial_bump(amplitude=-0.8),
+                             GridSpec(-4.0, 4.0, 400), nl, 1.0)
+    path = rectangle(-1.5, 1.0, 0.0, 1.0)
+    values = [flux_loop(traj, path, which).edge_integrals for which in ("plus", "minus")]
+    label = "flux_loop[polynomial_bump amplitude=-0.8 rectangle(-1.5, 1, 0, 1)]"
+    yield f"{_sha(np.array(values))}  {label}/plus+minus"
 
 
 if __name__ == "__main__":
