@@ -326,8 +326,8 @@ def resolve(subcommand: str, raw: dict[str, str] | None = None,
                                   "nonzero velocity breaks evenness")
     if subcommand == "focusing" and d["nl.sign"] != "focusing":
         raise ValidationError("nl.sign", "focusing scenario needs nl.sign = focusing")
-    if subcommand in ("decay", "retraction", "conjecture", "concentration", "tail") \
-            and d["nl.sign"] == "focusing":
+    if subcommand in ("decay", "retraction", "conjecture", "concentration", "tail",
+                      "flux-check", "trapezoid") and d["nl.sign"] == "focusing":
         raise ValidationError("nl.sign", "directional energy scenarios are defocusing")
     for key in ("flux.which", "trapezoid.which"):
         if key in d:

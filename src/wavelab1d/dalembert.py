@@ -55,7 +55,6 @@ class PicardResult:
     """Converged space-time field of the fixed-point iteration."""
 
     levels: np.ndarray        # (K+1, n_nodes); row k is the slice at t = k*dx
-    linear_part: np.ndarray
     iterations: int
     final_change: float
 
@@ -159,40 +158,39 @@ def _window(init: InitialData, grid: GridSpec, nl: Nonlinearity, K: int):
     return L, nl.p * (K * grid.dx) ** 2 * A ** (nl.p - 1.0)
 
 
-def _iterate(L: np.ndarray, nl: Nonlinearity, dx: float,
-             tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
-             max_iterations: int = DEFAULT_MAX_ITERATIONS) -> PicardResult:
+def _iterate(L: np.ndarray, nl: Nonlinearity, dx: float) -> PicardResult:
     """Iterate U -> L + nonlinear_integral(U) from U = 0 to a fixed point."""
     if nl.source_sign == 0.0:
         # the transform is constant in u; one application is exact
-        return PicardResult(L.copy(), L, 1, 0.0)
+        return PicardResult(L, 1, 0.0)
     U, change = np.zeros_like(L), np.inf
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, DEFAULT_MAX_ITERATIONS + 1):
         U_new = nonlinear_integral(U, nl, dx)
         U_new += L
         # |U_new - U| overwrites the old iterate, which is not needed again
         np.subtract(U_new, U, out=U)
         change = float(np.max(np.abs(U, out=U)))
         U = U_new
-        if change < tol_fixed_point:
-            return PicardResult(U, L, iterations, change)
-    raise NonConvergence(
-        f"no fixed point after {max_iterations} iterations (last change {change:.3e})")
+        if change < DEFAULT_TOL_FIXED_POINT:
+            return PicardResult(U, iterations, change)
+    raise NonConvergence(f"no fixed point after {DEFAULT_MAX_ITERATIONS} iterations "
+                         f"(last change {change:.3e})")
 
 
-def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity, T: float,
-                       tol_fixed_point: float = DEFAULT_TOL_FIXED_POINT,
-                       max_iterations: int = DEFAULT_MAX_ITERATIONS) -> PicardResult:
+def picard_fixed_point(init: InitialData, grid: GridSpec, nl: Nonlinearity,
+                       T: float) -> PicardResult:
     """Iterate the solution operator to a fixed point on [0, T].
 
-    Raises NoContraction when the window's contraction number exceeds 1/2
-    and NonConvergence when the iteration cap is exceeded.
+    The iteration stops once the sup change of an iterate is below
+    ``DEFAULT_TOL_FIXED_POINT``.  Raises NoContraction when the window's
+    contraction number exceeds 1/2 and NonConvergence when
+    ``DEFAULT_MAX_ITERATIONS`` iterations do not reach the tolerance.
     """
     L, contraction = _window(init, grid, nl, _lattice_levels(grid, T))
     if contraction > _CONTRACTION_BOUND:
         raise NoContraction(f"p*T^2*A^(p-1) = {contraction:.3g} exceeds "
                             f"{_CONTRACTION_BOUND}; shorten T")
-    return _iterate(L, nl, grid.dx, tol_fixed_point, max_iterations)
+    return _iterate(L, nl, grid.dx)
 
 
 def evolve_by_dalembert(init: InitialData, grid: GridSpec, nl: Nonlinearity,

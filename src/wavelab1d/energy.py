@@ -214,7 +214,7 @@ def morawetz_accumulator(trajectory, t_max: float) -> float:
     slab = np.empty(level_max + 1)
     f = np.zeros_like(xx)
     for m in range(level_max + 1):
-        t = float(trajectory.times[m])
+        t = m * grid.dt
         u = trajectory.u_levels[m]
         # u = ±0.0 gives a +0.0 integrand, so pow runs only from the first to
         # the last node whose bits are not +0.0 (-0.0 at the ends writes the

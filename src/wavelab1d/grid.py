@@ -70,12 +70,6 @@ class Nonlinearity:
             out *= u
         return out
 
-    def forcing(self, u):
-        """Right-hand side sign * |u|^(p-1) u (zero array if disabled)."""
-        if self.sign == "disabled":
-            return np.zeros_like(np.asarray(u, dtype=float))
-        return self.source_sign * self.power_term(u)
-
 
 @dataclass(frozen=True)
 class GridSpec:

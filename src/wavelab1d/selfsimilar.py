@@ -118,7 +118,6 @@ def profile_rhs(params: OdeParams, y: float, f: float, fp: float) -> float:
 class OdeSolution:
     """Profile samples plus a dense-output mesh for off-sample evaluation."""
 
-    params: OdeParams
     y_samples: np.ndarray
     f_samples: np.ndarray
     fprime_samples: np.ndarray
@@ -272,7 +271,7 @@ def integrate_profile(params: OdeParams, y_samples=None) -> OdeSolution:
     else:
         y_samples = np.asarray(y_samples, dtype=float)
 
-    sol = OdeSolution(params=params, y_samples=y_samples,
+    sol = OdeSolution(y_samples=y_samples,
                       f_samples=np.empty(0), fprime_samples=np.empty(0),
                       accepted_steps=acc_r + acc_l, rejected_steps=rej_r + rej_l,
                       _mesh_y=mesh_y, _mesh_f=mesh_f, _mesh_fp=mesh_fp,

@@ -129,18 +129,20 @@ def _start_level(u0, u1, init: InitialData, grid: GridSpec, nl: Nonlinearity):
     """Second-order starting level u[1].
 
     u[1] = u[0] + (cfl^2/2) lap(u0) + (1/2) Int_{x-dt}^{x+dt} u1 dx'
-         + (dt^2/2) forcing(u0),
+         + (dt^2/2) sign |u0|^(p-1) u0,
 
     using the exact antiderivative of u1 when the data provide one (this
     keeps the linear cfl=1 evolution an exact lattice shift) and the
-    midpoint value dt*u1 otherwise.
+    midpoint value dt*u1 otherwise.  With the source off the last term is
+    +0.0, not 0 * |u0|^(p-1) u0, which is NaN where the power overflows.
     """
     dt = grid.dt
     c2 = grid.cfl * grid.cfl
     x = grid.nodes
     exact = init.u1_integral(x - dt, x + dt)
     vel_part = 0.5 * exact if exact is not None else dt * u1
-    u_next = u0 + vel_part + (dt * dt / 2.0) * nl.forcing(u0)
+    source = nl.source_sign * nl.power_term(u0) if nl.source_sign else 0.0
+    u_next = u0 + vel_part + (dt * dt / 2.0) * source
     # neighbours are summed first so mirror-symmetric data stay bit-even
     u_next[1:-1] += (c2 / 2.0) * (u0[2:] + u0[:-2]) - c2 * u0[1:-1]
     u_next[0] = 0.0
@@ -332,13 +334,14 @@ class Trajectory:
     Morawetz integrals); long experiments use observers instead.  Storage is
     append-only during evolution and read-only afterwards.
 
-    ``u_levels`` has shape (n_levels, n_nodes).  ``v_levels`` has shape
-    (2, n_nodes) and holds only the two velocities the u levels cannot give:
-    row 0 is level 0 (the data's u1) and row -1 is the last level (it needs
-    the unstored level n_levels).  With one level both rows are u1.  Every
-    other velocity is recomputed from the same operands by the stepper's own
-    ``_velocity``, so ``state`` and ``pointwise`` return the stepper's
-    velocities bit for bit.
+    ``u_levels`` has shape (n_levels, n_nodes), and level m is the time
+    ``m * grid.dt``.  ``v_levels`` has shape (2, n_nodes) and holds only the
+    two velocities the u levels cannot give: row 0 is level 0 (the data's
+    u1) and row -1 is the last level, from the state ``evolve`` returns (it
+    needs the unstored level n_levels).  With one level both rows are u1.
+    Every other velocity is recomputed from the same operands by the
+    stepper's own ``_velocity``, so ``state`` and ``pointwise`` return the
+    stepper's velocities bit for bit.
 
     Only the data's lattice cone of ``u_levels`` is resident.  The array
     lives in a private anonymous mapping with transparent huge pages off:
@@ -354,20 +357,18 @@ class Trajectory:
     ``u_levels`` is ``np.zeros``, with the same bits, all resident.
     """
 
-    def __init__(self, grid: GridSpec, nl: Nonlinearity, times, u_levels, v_levels):
+    def __init__(self, grid: GridSpec, nl: Nonlinearity, u_levels, v_levels):
         self.grid = grid
         self.nl = nl
-        self.times = times
         self.u_levels = u_levels
         self.v_levels = v_levels
-        for arr in (times, u_levels, v_levels):
+        for arr in (u_levels, v_levels):
             arr.setflags(write=False)
 
     @classmethod
     def record(cls, init: InitialData, grid: GridSpec, nl: Nonlinearity,
                t_end: float, guard: float = DEFAULT_BLOWUP_GUARD) -> "Trajectory":
         n_steps = steps_for(t_end, grid.dt)
-        times = np.arange(n_steps + 1) * grid.dt
         u_levels = _lazy_zeros((n_steps + 1, grid.n_nodes))
         v_levels = np.empty((2, grid.n_nodes))
 
@@ -377,19 +378,18 @@ class Trajectory:
             u_levels[step, i:j] = state.u[i:j]
             if step == 0:
                 v_levels[0] = state.v
-            if step == n_steps:
-                v_levels[-1] = state.v
 
-        evolve(init, grid, nl, t_end, observers=[Observer(times, store)], guard=guard)
-        return cls(grid, nl, times, u_levels, v_levels)
+        every_level = Observer(np.arange(n_steps + 1) * grid.dt, store)
+        v_levels[-1] = evolve(init, grid, nl, t_end, observers=[every_level], guard=guard).v
+        return cls(grid, nl, u_levels, v_levels)
 
     @property
     def n_levels(self) -> int:
-        return len(self.times)
+        return len(self.u_levels)
 
     @property
     def t_max(self) -> float:
-        return float(self.times[-1])
+        return (self.n_levels - 1) * self.grid.dt
 
     def level_of(self, t: float) -> int:
         level = self.grid.step_of(t)
@@ -399,7 +399,7 @@ class Trajectory:
 
     def state(self, level: int) -> FieldState:
         level = range(self.n_levels)[level]
-        return FieldState(t=float(self.times[level]), u=self.u_levels[level].copy(),
+        return FieldState(t=level * self.grid.dt, u=self.u_levels[level].copy(),
                           v=self._velocity(level, slice(None)))
 
     def pointwise(self, levels, js):

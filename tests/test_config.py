@@ -257,3 +257,6 @@ def test_focusing_needs_focusing_sign():
         resolve("focusing", {}, {"nl.sign": "defocusing"})
     with pytest.raises(ValidationError):
         resolve("decay", {}, {"nl.sign": "focusing"})
+    for subcommand in ("flux-check", "trapezoid"):
+        with pytest.raises(ValidationError, match="nl.sign"):
+            resolve(subcommand, {}, {"nl.sign": "focusing"})

@@ -28,7 +28,7 @@ def test_disabled_returns_linear_evaluation():
     init = InitialData.gaussian(amplitude=1.0, velocity_fraction=0.4)
     res = picard_fixed_point(init, g, LINEAR, 0.5)
     assert res.iterations == 1
-    assert np.all(res.levels == res.linear_part)
+    assert np.all(res.levels == linear_part(init, g, 50))
     # and the linear lattice evolution agrees with the leapfrog at cfl = 1
     leap = evolve(init, g, LINEAR, 0.5)
     assert np.abs(res.levels[-1] - leap.u).max() <= 1e-12
@@ -80,8 +80,8 @@ def test_fixed_point_property():
     g = _grid(0.005)
     tol = 1e-12
     init = InitialData.gaussian(amplitude=0.5)
-    res = picard_fixed_point(init, g, P3, 0.25, tol_fixed_point=tol)
-    again = res.linear_part + nonlinear_integral(res.levels, P3, g.dx)
+    res = picard_fixed_point(init, g, P3, 0.25)
+    again = linear_part(init, g, 50) + nonlinear_integral(res.levels, P3, g.dx)
     assert np.abs(again - res.levels).max() < 2 * tol
 
 
@@ -91,12 +91,12 @@ def test_no_contraction_raised():
         picard_fixed_point(InitialData.gaussian(amplitude=1.0), g, P3, 0.5)
 
 
-def test_non_convergence_on_iteration_cap():
+def test_non_convergence_on_iteration_cap(monkeypatch):
     from wavelab1d import NonConvergence
     g = _grid(0.01)
+    monkeypatch.setattr(dalembert, "DEFAULT_MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergence):
-        picard_fixed_point(InitialData.gaussian(amplitude=0.1), g, P3, 0.25,
-                           max_iterations=1)
+        picard_fixed_point(InitialData.gaussian(amplitude=0.1), g, P3, 0.25)
 
 
 def test_oracle_richardson_consistency():

@@ -235,7 +235,7 @@ def test_zero_trajectory_cone_and_morawetz():
 def _nan_poked(traj):
     u_levels = traj.u_levels.copy()
     u_levels[3, u_levels.shape[1] // 3] = math.nan
-    return Trajectory(traj.grid, traj.nl, traj.times, u_levels, traj.v_levels)
+    return Trajectory(traj.grid, traj.nl, u_levels, traj.v_levels)
 
 
 def _negative_zero_ends():
@@ -249,7 +249,7 @@ def _negative_zero_ends():
         u[[nonzero[0] - 3, nonzero[-1] + 2]] = -0.0
     u_levels[2] = 0.0
     u_levels[2, [40, 41, 350]] = -0.0
-    return Trajectory(traj.grid, traj.nl, traj.times, u_levels, traj.v_levels)
+    return Trajectory(traj.grid, traj.nl, u_levels, traj.v_levels)
 
 
 def _recorded(init, nl):

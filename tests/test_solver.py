@@ -12,7 +12,8 @@ from wavelab1d import (BlowUpDetected, DomainTooSmall, GridSpec, InitialData,
                        sample_derivatives)
 from wavelab1d.grid import bit_extent
 from wavelab1d.energy import norms
-from tests_support import every_level, first_step, level_bytes, traced_memory, with_full_grid
+from tests_support import (every_level, first_step, forcing_start_level, level_bytes,
+                           traced_memory, with_full_grid)
 
 P3 = Nonlinearity(p=3.0)
 LINEAR = Nonlinearity(p=3.0, sign="disabled")
@@ -164,6 +165,35 @@ def test_windowed_evolve_matches_full_grid_on_sparse_data(data, cfl, p, sign, n_
         guard = max(guard_frac * later, np.nextafter(sup0, np.inf))
     assert level_bytes(evolve, *args, guard=guard) == \
         with_full_grid(level_bytes, evolve, *args, guard=guard)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n_cells=st.integers(2, 40), cfl=st.sampled_from([1.0, 0.9]),
+       p=st.sampled_from([2.0, 2.5, 3.0, 5.0]),
+       sign=st.sampled_from(["defocusing", "focusing", "disabled"]))
+def test_start_level_matches_the_forcing_reference(data, n_cells, cfl, p, sign):
+    # +0.0 and -0.0 samples, and magnitudes whose power overflows to inf
+    g = GridSpec(-2.0, 2.0, n_cells, cfl=cfl)
+    samples = SIGNED_SAMPLES | st.sampled_from([1e103, -1e103])
+    u0, u1 = (np.array(data.draw(st.lists(samples, min_size=g.n_nodes, max_size=g.n_nodes)))
+              for _ in range(2))
+    init = InitialData.explicit(u0, u1)
+    nl = Nonlinearity(p=p, sign=sign)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = solver._start_level(u0, u1, init, g, nl)
+        want = forcing_start_level(u0, u1, init, g, nl)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_disabled_start_level_is_finite_where_the_power_overflows():
+    # 1e103 ** 3 is inf, and 0 * inf would put NaN on that node
+    g = GridSpec(-2.0, 2.0, 20)
+    u0, u1 = np.zeros(g.n_nodes), np.zeros(g.n_nodes)
+    u0[10] = 1e103
+    init = InitialData.explicit(u0, u1)
+    level1 = solver._start_level(u0, u1, init, g, LINEAR)
+    assert np.all(np.isfinite(level1))
+    assert level1.tobytes() == forcing_start_level(u0, u1, init, g, LINEAR).tobytes()
 
 
 def march(*args, **kwargs):

@@ -81,6 +81,27 @@ def full_grid_march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     return final_state
 
 
+def forcing_start_level(u0, u1, init, grid, nl):
+    """``solver._start_level`` with its source term as a separate forcing
+    array, sign |u0|^(p-1) u0 or zeros when the source is off, as the
+    stepper once computed it; the folded term must reproduce it bit for bit.
+    """
+    dt = grid.dt
+    c2 = grid.cfl * grid.cfl
+    x = grid.nodes
+    exact = init.u1_integral(x - dt, x + dt)
+    vel_part = 0.5 * exact if exact is not None else dt * u1
+    if nl.sign == "disabled":
+        forcing = np.zeros_like(np.asarray(u0, dtype=float))
+    else:
+        forcing = nl.source_sign * nl.power_term(u0)
+    u_next = u0 + vel_part + (dt * dt / 2.0) * forcing
+    u_next[1:-1] += (c2 / 2.0) * (u0[2:] + u0[:-2]) - c2 * u0[1:-1]
+    u_next[0] = 0.0
+    u_next[-1] = 0.0
+    return u_next
+
+
 def first_step(init, grid, nl) -> FieldState:
     """State after one step of ``solver._march``, without ``evolve``'s domain check."""
     return solver._march(init, grid, nl, 1, {}, solver.DEFAULT_BLOWUP_GUARD)
@@ -249,7 +270,7 @@ def full_row_morawetz(trajectory, t_max):
     x = grid.nodes
     slab = np.empty(level_max + 1)
     for m in range(level_max + 1):
-        t = float(trajectory.times[m])
+        t = m * trajectory.grid.dt
         w = ((t + 1.0) ** 2 - x * x) / (t + 1.0) ** 3
         np.clip(w, 0.0, None, out=w)
         u = trajectory.u_levels[m]

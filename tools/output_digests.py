@@ -31,11 +31,13 @@ half-lattice path runs with its ghost node mirroring the last stepped node
 simulates focusing data, which write state files and a header-only
 ``diagnostics.csv``.  The next eight each set one bad value, so they write
 only ``error.json``, whose digest pins the exception type and message.
-The last eight reach branches that no earlier run takes: ``simulate`` at
+The next eight reach branches that no earlier run takes: ``simulate`` at
 p = 2 and at p = 5 (the power term's own kernels), with the source
 disabled, on an asymmetric domain (nodes from ``linspace``) and to
 t_end = 0 (no step); ``flux-check`` and ``trapezoid`` on the minus pair;
-and ``cp-table`` at p = 2.5 and at p = 1e4.
+and ``cp-table`` at p = 2.5 and at p = 1e4.  The last two run ``flux-check``
+and ``trapezoid`` on focusing data, which the configuration rejects, so
+each writes only ``error.json``.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -125,6 +127,9 @@ EXTRA_RUNS = (
     ("trapezoid", ("trapezoid.which=minus",)),
     # C_p off the default p values, and at a large p
     ("cp-table", ("cp.p_values=2.5,1e4",)),
+    # focusing data on the density tools: rejected at resolve, before recording
+    ("flux-check", ("nl.sign=focusing",)),
+    ("trapezoid", ("nl.sign=focusing",)),
 )
 
 
