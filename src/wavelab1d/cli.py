@@ -24,7 +24,7 @@ from .csvio import render, write_csv, write_json
 from .energy import compute_densities, cone_energy, conserved_pair
 from .errors import ValidationError, WaveLabError
 from .experiments import RUNNERS, PASS, FAIL, INCONCLUSIVE
-from .flux import example_flux_polygon, flux_loop, trapezoid_check
+from .flux import check_path, example_flux_polygon, flux_loop, ray_levels, trapezoid_check
 from .grid import FieldState
 from .interaction import interaction_q
 from .manifest import new_manifest
@@ -90,11 +90,17 @@ def _run_simulate(cfg, out_dir, outputs):
     return PASS
 
 
+def _last_time(cfg, grid) -> float:
+    """The last time a trajectory recorded to ``cfg.horizon()`` stores."""
+    return steps_for(cfg.horizon(), grid.dt) * grid.dt
+
+
 def _run_flux_check(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
-    traj = Trajectory.record(init, grid, nl, cfg.horizon(), guard=cfg["run.guard"])
     path = example_flux_polygon(cfg["flux.a"], cfg["flux.b"], cfg["flux.h"],
                                 cfg["flux.t0"])
+    check_path(grid, _last_time(cfg, grid), path)
+    traj = Trajectory.record(init, grid, nl, cfg.horizon(), guard=cfg["run.guard"])
     rep = flux_loop(traj, path, cfg["flux.which"])
     threshold = cfg["thresholds.flux_residual"]
     return _write_report(out_dir, outputs, "flux",
@@ -104,6 +110,8 @@ def _run_flux_check(cfg, out_dir, outputs):
 
 def _run_trapezoid(cfg, out_dir, outputs):
     nl, grid, init = cfg.nonlinearity(), cfg.grid(), cfg.initial_data()
+    ray_levels(grid, _last_time(cfg, grid), cfg["trapezoid.eta"], cfg["trapezoid.t1"],
+               cfg["trapezoid.t2"])
     traj = Trajectory.record(init, grid, nl, cfg.horizon(), guard=cfg["run.guard"])
     rep = trapezoid_check(traj, cfg["trapezoid.eta"], cfg["trapezoid.t1"],
                           cfg["trapezoid.t2"], cfg["trapezoid.which"])

@@ -37,7 +37,8 @@ import numpy as np
 
 from .energy import compute_densities, interval_energy, potential, trapezoid
 from .errors import PathOutsideDomain, RayOutsideDomain, ValidationError
-from .solver import Trajectory
+from .grid import GridSpec
+from .solver import Trajectory, stored_level
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -257,6 +258,43 @@ def _line_integral(traj: Trajectory, levels, xs, tag, which) -> float:
     return trapezoid(_edge_integrand(u, ux, ut, traj.nl, tag, which), traj.grid.dt)
 
 
+def check_path(grid: GridSpec, t_max: float, path: PolygonPath):
+    """Raise unless every vertex of ``path`` is a lattice time in [0, t_max]
+    inside the domain (and a node at cfl = 1).
+
+    Each edge's endpoints are vertices, so after this ``grid.step_of``
+    cannot fail on an edge.  Callable before the trajectory is recorded.
+    """
+    dt = grid.dt
+    for x, t in path.vertices:
+        if not (grid.x_min - 1e-9 <= x <= grid.x_max + 1e-9):
+            raise PathOutsideDomain(f"vertex x={x:.6g} outside the domain")
+        if not (-1e-9 * dt <= t <= t_max + 1e-9 * dt):
+            raise PathOutsideDomain(f"vertex t={t:.6g} outside the stored time range")
+        if grid.cfl == 1.0:
+            # lattice alignment is part of the path contract at cfl = 1
+            grid.index_of(x)
+        grid.step_of(t)
+
+
+def ray_levels(grid: GridSpec, t_max: float, eta: float, t1: float, t2: float):
+    """Levels from t1 to t2 of a trajectory stored to t_max, and the ray
+    x = t - eta at each.
+
+    Raises unless t1 < t2 are lattice times up to t_max and the ray stays in
+    the domain.  Callable before the trajectory is recorded.
+    """
+    if not t1 < t2:
+        raise ValidationError("t1", "need t1 < t2")
+    levels = np.arange(stored_level(grid, t_max, t1), stored_level(grid, t_max, t2) + 1)
+    # t - eta, not flux_loop's x0 + (t - t0): the two round differently off t = 0
+    xs = levels * grid.dt - eta
+    if xs.min() < grid.x_min - 1e-9 or xs.max() > grid.x_max + 1e-9:
+        raise RayOutsideDomain(
+            f"ray x = t - {eta:.4g} leaves the domain on [{t1:.4g}, {t2:.4g}]")
+    return levels, xs
+
+
 def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") -> FluxReport:
     """Evaluate every edge integral of the flux identity around a path.
 
@@ -268,16 +306,7 @@ def flux_loop(trajectory: Trajectory, path: PolygonPath, which: str = "plus") ->
     grid = trajectory.grid
     nl = trajectory.nl
     dt = grid.dt
-    t_hi = trajectory.t_max
-    for x, t in path.vertices:
-        if not (grid.x_min - 1e-9 <= x <= grid.x_max + 1e-9):
-            raise PathOutsideDomain(f"vertex x={x:.6g} outside the domain")
-        if not (-1e-9 * dt <= t <= t_hi + 1e-9 * dt):
-            raise PathOutsideDomain(f"vertex t={t:.6g} outside the stored time range")
-        if grid.cfl == 1.0:
-            # lattice alignment is part of the path contract at cfl = 1
-            grid.index_of(x)
-            grid.step_of(t)
+    check_path(grid, trajectory.t_max, path)
 
     values = []
     for e in path.edges:
@@ -318,18 +347,10 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
     left-going energy.
     """
     check_which(which)
-    if not t1 < t2:
-        raise ValidationError("t1", "need t1 < t2")
     grid = trajectory.grid
     nl = trajectory.nl
-    m1, m2 = trajectory.level_of(t1), trajectory.level_of(t2)
-    levels = np.arange(m1, m2 + 1)
-    t_vals = levels * grid.dt
-    # t - eta, not flux_loop's x0 + (t - t0): the two round differently off t = 0
-    xs = t_vals - eta
-    if xs.min() < grid.x_min - 1e-9 or xs.max() > grid.x_max + 1e-9:
-        raise RayOutsideDomain(
-            f"ray x = t - {eta:.4g} leaves the domain on [{t1:.4g}, {t2:.4g}]")
+    levels, xs = ray_levels(grid, trajectory.t_max, eta, t1, t2)
+    m1, m2 = int(levels[0]), int(levels[-1])
 
     d1 = compute_densities(trajectory.state(m1), grid, nl)
     d2 = compute_densities(trajectory.state(m2), grid, nl)
@@ -341,7 +362,7 @@ def trapezoid_check(trajectory: Trajectory, eta: float, t1: float, t2: float,
     flux_integral = _line_integral(trajectory, levels, xs, RIGHT_CHAR, which)
 
     return TrapezoidReport(
-        which=which, eta=eta, t1=float(t_vals[0]), t2=float(t_vals[-1]),
+        which=which, eta=eta, t1=m1 * grid.dt, t2=m2 * grid.dt,
         lhs_left=lhs_left, lhs_right=lhs_right, flux_integral=flux_integral,
         residual_left=lhs_left - flux_integral,
         residual_right=lhs_right - flux_integral,

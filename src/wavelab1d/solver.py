@@ -49,6 +49,16 @@ extra nodes lie outside [lo, hi), so they hold +0.0 at levels m and m - 1
 and read only +0.0 neighbours; the update turns them into +0.0 again, as
 above, and the emitted bits are those of the full-grid update.
 
+Level m+1 is accumulated in place in u_next's window: the neighbour sum is
+written straight into it, then scaled by cfl^2 and given the (2 - 2 cfl^2)
+u[n] term (cfl < 1), then given the power term, then u[n-1] is subtracted.
+These are the operations and operands of a separate sum buffer, in the
+same order, so the bits are too.  The loop steps four level/scratch
+buffers (levels m - 1, m and m + 1, and one scratch for the cfl product,
+the power term and the guard) plus the velocity buffer.  The window's
+views of them are rebuilt only where [a, b) changes, about once in eight
+steps, and rotate with the three level buffers.
+
 Mirror-symmetric data are stepped on half the lattice.  When levels 0 and 1
 are bit palindromes (their int64 views equal their reverses, so -0.0 and
 NaN count by their bits) and n >= 4, the loop steps nodes [0, h), with
@@ -200,7 +210,10 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
 
     Steps the cache-line-rounded window, on half the lattice when both start
     levels are bit palindromes, and checks the guard only where the sup bound
-    reaches it, as the module docstring describes.
+    reaches it, as the module docstring describes.  Level m+1 is accumulated
+    in place in u_next's window; four level/scratch buffers plus the velocity
+    buffer are stepped, and the window's views are rebuilt only where [a, b)
+    changes.
     """
     dt = grid.dt
     u0, u1 = init.sample(grid)
@@ -231,7 +244,7 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     else:
         h, whole = n_nodes - 1, np.copy
     mirror = n_nodes - 1 - h
-    u_prev, u_cur, u_next, work, tmp, v_buf = aligned_zeros(6, h + 1)
+    u_prev, u_cur, u_next, tmp, v_buf = aligned_zeros(5, h + 1)
     u_prev[:] = u0[:h + 1]
     u_cur[:] = level1[:h + 1]
     # from here on the buffers are the run's only copy of the data
@@ -244,8 +257,16 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     # [a, b) is the stepped window, [lo, hi) rounded out to whole cache lines
     lo, hi = bit_extent(u_prev.view(np.int64) | u_cur.view(np.int64))
     a, b = lo, hi
+
+    def views(buf):
+        """buf's window [a, b) and its right and left neighbours."""
+        return buf[a:b], buf[a + 1:b + 1], buf[a - 1:b - 1]
+
+    # each level buffer's views rotate with it; tmp's window is the scratch
+    w_prev, w_cur, w_next = map(views, (u_prev, u_cur, u_next))
+    w_tmp = tmp[a:b]
     # s_prev, s_cur bound sup|u| at levels m - 1 and m
-    s_cur = _guard_check(u_cur[a:b], dt, guard, work[a:b])
+    s_cur = _guard_check(w_cur[0], dt, guard, w_tmp)
     k = 2.0 - 2.0 * c2
     lip = 2.0 * c2 + abs(k)
     abs_dt2s = abs(dt2s)
@@ -254,20 +275,25 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
     for m in range(1, n_steps + 1):
         if lo < hi:
             lo, hi = max(lo - 1, 1), min(hi + 1, h)
-            a, b = max(lo - lo % 8, 1), min(hi - hi % -8, h)
-        w = slice(a, b)
-        # u_next holds level m+1, computed from u_cur (m) and u_prev (m-1);
+            edges = max(lo - lo % 8, 1), min(hi - hi % -8, h)
+            if edges != (a, b):
+                a, b = edges
+                w_prev, w_cur, w_next = map(views, (u_prev, u_cur, u_next))
+                w_tmp = tmp[a:b]
+        cur, right, left = w_cur
+        nxt = w_next[0]
+        # level m+1 is accumulated in u_next from u_cur (m) and u_prev (m-1);
         # neighbours are summed first so mirror-symmetric data stay bit-even
-        np.add(u_cur[a + 1:b + 1], u_cur[a - 1:b - 1], out=work[w])
+        np.add(right, left, out=nxt)
         if c2 != 1.0:
-            work[w] *= c2
-            np.multiply(u_cur[w], k, out=tmp[w])
-            work[w] += tmp[w]
+            nxt *= c2
+            np.multiply(cur, k, out=w_tmp)
+            nxt += w_tmp
         if dt2s != 0.0:
-            nl.power_term(u_cur[w], out=tmp[w])
-            tmp[w] *= dt2s
-            work[w] += tmp[w]
-        np.subtract(work[w], u_prev[w], out=u_next[w])
+            nl.power_term(cur, out=w_tmp)
+            w_tmp *= dt2s
+            nxt += w_tmp
+        nxt -= w_prev[0]
         u_next[0] = 0.0
         u_next[h] = u_next[mirror]
         try:
@@ -277,8 +303,8 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
         if bound < guard:
             s_prev, s_cur = s_cur, bound
         else:
-            s_next = _guard_check(u_next[w], (m + 1) * dt, guard, work[w])
-            s_prev, s_cur = _guard_check(u_cur[w], m * dt, guard, work[w]), s_next
+            s_next = _guard_check(nxt, (m + 1) * dt, guard, w_tmp)
+            s_prev, s_cur = _guard_check(cur, m * dt, guard, w_tmp), s_next
 
         if m in schedule or m == n_steps:
             state = emit(m, whole(u_cur), whole(_velocity(u_next, u_prev, dt, out=v_buf)))
@@ -287,6 +313,7 @@ def _march(init, grid, nl, n_steps, schedule, guard) -> FieldState:
             del state       # not kept alive beside the next emitted state
 
         u_prev, u_cur, u_next = u_cur, u_next, u_prev
+        w_prev, w_cur, w_next = w_cur, w_next, w_prev
 
 
 def _velocity(u_next, u_prev, dt, out=None):
@@ -300,6 +327,15 @@ def _is_palindrome(a):
     """Whether ``a`` reads the same reversed, bit for bit (-0.0 and NaN included)."""
     bits = a.view(np.int64)
     return np.array_equal(bits, bits[::-1])
+
+
+def stored_level(grid: GridSpec, t_max: float, t: float) -> int:
+    """Level of lattice time t in a trajectory stored to t_max; raises
+    ValidationError if t is off the lattice or past t_max."""
+    level = grid.step_of(t)
+    if level > grid.step_of(t_max):
+        raise ValidationError("time", f"t={t!r} beyond the stored trajectory")
+    return level
 
 
 def _lazy_zeros(shape):
@@ -392,10 +428,7 @@ class Trajectory:
         return (self.n_levels - 1) * self.grid.dt
 
     def level_of(self, t: float) -> int:
-        level = self.grid.step_of(t)
-        if level >= self.n_levels:
-            raise ValidationError("time", f"t={t!r} beyond the stored trajectory")
-        return level
+        return stored_level(self.grid, self.t_max, t)
 
     def state(self, level: int) -> FieldState:
         level = range(self.n_levels)[level]

@@ -117,15 +117,21 @@ def test_error_exit_and_error_json(tmp_path, override):
     assert err["message"].startswith(key + ": ")
 
 
-@pytest.mark.parametrize("subcommand, overrides, key", [
-    ("flux-check", ("flux.h=-0.5",), "flux.h"), ("flux-check", ("flux.h=0",), "flux.h"),
-    ("flux-check", ("flux.a=1", "flux.b=-1"), "flux.b"),
-    ("flux-check", ("flux.t0=-0.1",), "flux.t0"),
-    ("trapezoid", ("trapezoid.t1=1", "trapezoid.t2=0.5"), "trapezoid.t2"),
-    ("trapezoid", ("trapezoid.t1=-0.5",), "trapezoid.t1"),
+@pytest.mark.parametrize("subcommand, overrides, error_type, prefix", [
+    ("flux-check", ("flux.h=-0.5",), "ValidationError", "flux.h: "),
+    ("flux-check", ("flux.h=0",), "ValidationError", "flux.h: "),
+    ("flux-check", ("flux.a=1", "flux.b=-1"), "ValidationError", "flux.b: "),
+    ("flux-check", ("flux.t0=-0.1",), "ValidationError", "flux.t0: "),
+    ("trapezoid", ("trapezoid.t1=1", "trapezoid.t2=0.5"), "ValidationError", "trapezoid.t2: "),
+    ("trapezoid", ("trapezoid.t1=-0.5",), "ValidationError", "trapezoid.t1: "),
+    # geometry that only the grid can check
+    ("flux-check", ("flux.a=-100",), "PathOutsideDomain", "vertex x=-100 outside the domain"),
+    ("flux-check", ("grid.cfl=0.9",), "ValidationError", "time: t=0.5 is not a lattice time"),
+    ("trapezoid", ("trapezoid.eta=50", "trapezoid.t2=10"), "RayOutsideDomain",
+     "ray x = t - 50 leaves the domain on [0, 10]"),
 ])
 def test_bad_window_rejected_before_recording(tmp_path, monkeypatch, subcommand,
-                                              overrides, key):
+                                              overrides, error_type, prefix):
     # the dense trajectory's cost grows like t^2, so a window that cannot be
     # checked must fail before it is recorded
     recorded = []
@@ -138,8 +144,8 @@ def test_bad_window_rejected_before_recording(tmp_path, monkeypatch, subcommand,
     assert run_cli(args) == 1
     assert recorded == []
     err = json.loads((out / "error.json").read_text())
-    assert err["error_type"] == "ValidationError"
-    assert err["message"].startswith(key + ": ")
+    assert err["error_type"] == error_type
+    assert err["message"].startswith(prefix)
 
 
 def test_unreadable_config_file_is_an_error(tmp_path):

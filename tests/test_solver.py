@@ -247,7 +247,7 @@ def test_mirror_path_matches_full_grid_reference(data, n_cells, cfl, p, sign, n_
         assert mirrored or flips or n == 3  # the unflipped data take the half path
         if levels[0] != "blowup" or levels[1] > 0.0:
             length = h + 1 if mirrored else n
-            assert [call.args for call in spy.call_args_list] == [(6, length)]
+            assert [call.args for call in spy.call_args_list] == [(5, length)]
 
 
 @pytest.mark.parametrize("cfl", [1.0, 0.9, 0.5])
@@ -425,21 +425,33 @@ def test_observer_beyond_horizon_rejected():
         evolve(InitialData.zero(), g, P3, 1.0, observers=[obs])
 
 
-def test_evolve_keeps_no_copy_of_the_sampled_data():
+def _live_bytes_at_emits(center):
+    """Traced bytes at each of three emits of a 131,073-node run, and one array's bytes."""
     g = GridSpec(-2.0, 2.0, 2 ** 17)                   # 131,073 nodes
-    init = InitialData.gaussian(amplitude=1.0, width=0.2)
+    init = InitialData.gaussian(amplitude=1.0, width=0.2, center=center)
     t_end = 40 * g.dt
     live = []
     with traced_memory() as above:
         def note(state):
             live.append(above()[0])
         evolve(init, g, P3, t_end, observers=[Observer([0.0, t_end / 2, t_end], note)])
-    # even data: six half-lattice buffers (three arrays) plus the emitted
-    # state's u and v, and less than one more array; the sampled u0 and u1,
-    # level 1 and the previously emitted state would add five
-    nbytes = 8 * g.n_nodes
     assert len(live) == 3
-    assert live[-1] < 6 * nbytes
+    return live, 8 * g.n_nodes
+
+
+def test_evolve_keeps_no_copy_of_the_sampled_data():
+    # even data: five half-lattice buffers (2.5 arrays) plus the emitted
+    # state's u and v, and less than half an array more; the sampled u0 and
+    # u1, level 1 and the previously emitted state would add five
+    live, nbytes = _live_bytes_at_emits(0.0)
+    assert live[-1] < 5 * nbytes
+
+
+def test_evolve_keeps_no_copy_of_off_centre_data():
+    # off-centre data step the full lattice: five buffers plus the emitted
+    # state's u and v, and less than half an array more
+    live, nbytes = _live_bytes_at_emits(0.3)
+    assert live[-1] < 7.5 * nbytes
 
 
 def test_trajectory_record_levels():

@@ -35,9 +35,12 @@ The next eight reach branches that no earlier run takes: ``simulate`` at
 p = 2 and at p = 5 (the power term's own kernels), with the source
 disabled, on an asymmetric domain (nodes from ``linspace``) and to
 t_end = 0 (no step); ``flux-check`` and ``trapezoid`` on the minus pair;
-and ``cp-table`` at p = 2.5 and at p = 1e4.  The last two run ``flux-check``
+and ``cp-table`` at p = 2.5 and at p = 1e4.  The next two run ``flux-check``
 and ``trapezoid`` on focusing data, which the configuration rejects, so
-each writes only ``error.json``.
+each writes only ``error.json``.  The last three set a geometry that only
+the grid can reject, before the trajectory is recorded: a flux vertex
+outside the domain, flux vertices off the cfl = 0.9 lattice and a
+trapezoid ray that leaves the domain; each writes only ``error.json``.
 
 No CLI run reaches the Picard oracle, the virial and Morawetz functionals
 or the brute-force Q, so the last lines digest them directly, each at one
@@ -130,6 +133,10 @@ EXTRA_RUNS = (
     # focusing data on the density tools: rejected at resolve, before recording
     ("flux-check", ("nl.sign=focusing",)),
     ("trapezoid", ("nl.sign=focusing",)),
+    # geometry checked against the grid before recording
+    ("flux-check", ("flux.a=-100",)),
+    ("flux-check", ("grid.cfl=0.9",)),
+    ("trapezoid", ("trapezoid.eta=50", "trapezoid.t2=10")),
 )
 
 
