@@ -259,12 +259,9 @@ def _line_integral(traj: Trajectory, levels, xs, tag, which) -> float:
 
 
 def check_path(grid: GridSpec, t_max: float, path: PolygonPath):
-    """Raise unless every vertex of ``path`` is a lattice time in [0, t_max]
-    inside the domain (and a node at cfl = 1).
-
-    Each edge's endpoints are vertices, so after this ``grid.step_of``
-    cannot fail on an edge.  Callable before the trajectory is recorded.
-    """
+    """Raise unless every vertex of ``path`` lies in the domain at a lattice time
+    in [0, t_max], on a node at cfl = 1; edges end on vertices, so their
+    ``grid.step_of`` cannot fail after this."""
     dt = grid.dt
     for x, t in path.vertices:
         if not (grid.x_min - 1e-9 <= x <= grid.x_max + 1e-9):
@@ -278,12 +275,9 @@ def check_path(grid: GridSpec, t_max: float, path: PolygonPath):
 
 
 def ray_levels(grid: GridSpec, t_max: float, eta: float, t1: float, t2: float):
-    """Levels from t1 to t2 of a trajectory stored to t_max, and the ray
-    x = t - eta at each.
-
-    Raises unless t1 < t2 are lattice times up to t_max and the ray stays in
-    the domain.  Callable before the trajectory is recorded.
-    """
+    """Levels from t1 to t2 of a trajectory stored to t_max and the ray x = t - eta
+    at each; raises unless t1 < t2 are stored lattice times and the ray stays
+    in the domain."""
     if not t1 < t2:
         raise ValidationError("t1", "need t1 < t2")
     levels = np.arange(stored_level(grid, t_max, t1), stored_level(grid, t_max, t2) + 1)
